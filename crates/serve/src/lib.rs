@@ -11,10 +11,13 @@
 //! # Architecture
 //!
 //! ```text
-//! clients ──TCP──▶ accept loop ──▶ bounded queue ──▶ worker pool
-//!                      │                                 │
-//!                   429 shed                     ops::* + PlanStore
-//!                 (queue full)                  (tenant-namespaced)
+//! clients ──TCP──▶ accept loop ──────▶ bounded queue ──▶ worker pool
+//!                  (blocking accept;                          │
+//!                  a self-connect            zoo table (each name resolved
+//!                  wakes it on shutdown)     once per daemon) + ops::*
+//!                      │                     + PlanStore (tenant-namespaced)
+//!                   429 shed
+//!                 (queue full)
 //! ```
 //!
 //! - [`ops`] holds the callable command logic shared with `powerlens-cli`
@@ -23,7 +26,8 @@
 //! - [`http`] is the minimal HTTP/1.1 framing layer plus a tiny client
 //!   used by tests and smoke scripts.
 //! - [`server`] wires them together: admission control, the worker pool,
-//!   the degradation ladder, `/metrics`, and graceful shutdown.
+//!   the per-daemon zoo table, the degradation ladder, `/metrics`, and
+//!   graceful shutdown.
 //!
 //! # Degradation ladder
 //!

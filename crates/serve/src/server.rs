@@ -4,15 +4,15 @@
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread;
 use std::time::Duration;
 
 use powerlens::{PlanOutcome, PowerLens, TrainedModels};
-use powerlens_dnn::Graph;
+use powerlens_dnn::{zoo, Graph};
 use powerlens_obs as obs;
 use powerlens_platform::Platform;
 use powerlens_store::{CacheMode, LintCache, PlanStore};
@@ -101,20 +101,74 @@ pub struct ServeReport {
 /// by [`Server::run`], which blocks until `POST /shutdown`.
 pub struct Server {
     listener: TcpListener,
+    /// Where `/shutdown` connects to wake the accept loop.
+    wake_addr: SocketAddr,
     cfg: ServeConfig,
     store: PlanStore,
     lint_cache: Option<LintCache>,
     default_platform: Platform,
+    zoo: ZooTable,
 }
 
 /// State shared between the accept loop and the worker pool.
 struct Shared {
-    queue: Mutex<VecDeque<TcpStream>>,
+    queue: Mutex<Queue>,
     available: Condvar,
-    shutdown: AtomicBool,
     requests: AtomicU64,
     rejected: AtomicU64,
     degraded: AtomicU64,
+}
+
+/// The admission queue and the shutdown flag, under one lock: a worker
+/// checks the flag under the lock before it waits, so raising the flag
+/// under the same lock can never slip between the check and the wait.
+#[derive(Default)]
+struct Queue {
+    conns: VecDeque<TcpStream>,
+    shutdown: bool,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue
+            .lock()
+            .expect("a thread panicked while holding the queue lock")
+    }
+
+    /// Raises the shutdown flag and wakes every idle worker; each one
+    /// drains what is left in the queue and then exits.
+    fn begin_shutdown(&self) {
+        self.lock().shutdown = true;
+        self.available.notify_all();
+    }
+}
+
+/// Zoo graphs resolved once per daemon. A name's slot is built on its
+/// first request, so start-up builds nothing, and every later request
+/// shares the same graph — and with it the graph's memoized
+/// [`Graph::fingerprint`].
+struct ZooTable {
+    slots: Vec<(zoo::ModelEntry, OnceLock<Arc<Graph>>)>,
+}
+
+impl ZooTable {
+    fn new() -> ZooTable {
+        ZooTable {
+            slots: zoo::all_models()
+                .into_iter()
+                .map(|entry| (entry, OnceLock::new()))
+                .collect(),
+        }
+    }
+
+    /// The graph for a zoo model name, with [`ops::graph_by_name`]'s
+    /// error text for unknown names.
+    fn get(&self, name: &str) -> Result<Arc<Graph>, String> {
+        match self.slots.iter().find(|((n, _), _)| *n == name) {
+            Some(((_, build), slot)) => Ok(Arc::clone(slot.get_or_init(|| Arc::new(build())))),
+            None => ops::graph_by_name(name).map(Arc::new),
+        }
+    }
 }
 
 impl Server {
@@ -153,12 +207,15 @@ impl Server {
             _ => Some(LintCache::mem_only()),
         };
         let listener = TcpListener::bind((cfg.addr.as_str(), cfg.port))?;
+        let wake_addr = wake_target(listener.local_addr()?);
         Ok(Server {
             listener,
+            wake_addr,
             cfg,
             store,
             lint_cache,
             default_platform,
+            zoo: ZooTable::new(),
         })
     }
 
@@ -174,8 +231,14 @@ impl Server {
     /// Serves until a `POST /shutdown` arrives, then drains the queue and
     /// returns the final tallies.
     ///
-    /// The accept loop sheds connections with `429` once the queue is
-    /// full; queued connections are handled by `cfg.workers` threads.
+    /// The accept loop blocks in `accept` and sheds connections with `429`
+    /// once the queue is full; queued connections are handled by
+    /// `cfg.workers` threads. `POST /shutdown` raises the shutdown flag and
+    /// wakes the blocked `accept` with one connection of its own to the
+    /// listener (the loopback address of the same family when bound to a
+    /// wildcard address). The loop closes whatever connection it accepts
+    /// once the flag is up, and the workers answer every request queued
+    /// before it.
     ///
     /// # Errors
     ///
@@ -186,41 +249,34 @@ impl Server {
         let workers = powerlens_par::resolve_threads(self.cfg.workers);
         obs::gauge("serve.workers", workers as f64);
         let shared = Shared {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue::default()),
             available: Condvar::new(),
-            shutdown: AtomicBool::new(false),
             requests: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             degraded: AtomicU64::new(0),
         };
-        self.listener.set_nonblocking(true)?;
 
         thread::scope(|scope| -> io::Result<()> {
             for _ in 0..workers {
                 scope.spawn(|| self.worker_loop(&shared));
             }
-            // Accept loop. Nonblocking so the shutdown flag is observed
-            // promptly even when no clients connect.
+            // Accept loop: blocks in `accept` until a client connects or
+            // `/shutdown` wakes it with a self-connect. After shutdown the
+            // workers drain the queue, see the flag and exit; the scope
+            // joins them.
             loop {
                 match self.listener.accept() {
-                    Ok((stream, _)) => self.admit(stream, &shared),
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        if shared.shutdown.load(Ordering::SeqCst) {
-                            break;
+                    Ok((stream, _)) => {
+                        if !self.admit(stream, &shared) {
+                            return Ok(());
                         }
-                        thread::sleep(Duration::from_millis(5));
                     }
                     Err(e) => {
-                        shared.shutdown.store(true, Ordering::SeqCst);
-                        shared.available.notify_all();
+                        shared.begin_shutdown();
                         return Err(e);
                     }
                 }
             }
-            // Idle drain: workers finish the queue, then observe the flag
-            // and exit; the scope joins them.
-            shared.available.notify_all();
-            Ok(())
         })?;
 
         Ok(ServeReport {
@@ -231,12 +287,15 @@ impl Server {
     }
 
     /// Queues a connection, or sheds it with `429` when the queue is full.
-    fn admit(&self, mut stream: TcpStream, shared: &Shared) {
-        // Accepted sockets inherit the listener's nonblocking mode on some
-        // platforms; the workers want plain blocking reads with timeouts.
-        let _ = stream.set_nonblocking(false);
-        let mut q = shared.queue.lock().unwrap();
-        if q.len() >= self.cfg.queue_depth {
+    /// Returns `false`, closing the connection unanswered, once shutdown
+    /// has begun: that connection is the self-connect wake or a client
+    /// that arrived after `/shutdown`.
+    fn admit(&self, mut stream: TcpStream, shared: &Shared) -> bool {
+        let mut q = shared.lock();
+        if q.shutdown {
+            return false;
+        }
+        if q.conns.len() >= self.cfg.queue_depth {
             drop(q);
             shared.rejected.fetch_add(1, Ordering::SeqCst);
             obs::counter("serve.rejected", 1);
@@ -254,31 +313,31 @@ impl Server {
                     error: "admission queue full; retry with backoff".to_string(),
                 },
             );
-            return;
+            return true;
         }
-        q.push_back(stream);
-        obs::gauge("serve.queue_depth", q.len() as f64);
+        q.conns.push_back(stream);
+        obs::gauge("serve.queue_depth", q.conns.len() as f64);
         drop(q);
         shared.available.notify_one();
+        true
     }
 
     fn worker_loop(&self, shared: &Shared) {
         loop {
             let stream = {
-                let mut q = shared.queue.lock().unwrap();
+                let mut q = shared.lock();
                 loop {
-                    if let Some(s) = q.pop_front() {
-                        obs::gauge("serve.queue_depth", q.len() as f64);
+                    if let Some(s) = q.conns.pop_front() {
+                        obs::gauge("serve.queue_depth", q.conns.len() as f64);
                         break Some(s);
                     }
-                    if shared.shutdown.load(Ordering::SeqCst) {
+                    if q.shutdown {
                         break None;
                     }
-                    let (guard, _) = shared
+                    q = shared
                         .available
-                        .wait_timeout(q, Duration::from_millis(50))
-                        .unwrap();
-                    q = guard;
+                        .wait(q)
+                        .expect("a thread panicked while holding the queue lock");
                 }
             };
             let Some(mut stream) = stream else { return };
@@ -314,8 +373,15 @@ impl Server {
                 write_response(stream, 200, "text/plain; charset=utf-8", &body)
             }
             ("POST", "/shutdown") => {
-                shared.shutdown.store(true, Ordering::SeqCst);
-                shared.available.notify_all();
+                shared.begin_shutdown();
+                // Wake the accept loop blocked in `accept`. If this fails,
+                // it stops at the next client connection instead.
+                if let Err(e) = TcpStream::connect_timeout(&self.wake_addr, IO_TIMEOUT) {
+                    eprintln!(
+                        "serve: cannot wake the accept loop at {} for shutdown: {e}",
+                        self.wake_addr
+                    );
+                }
                 json_response(stream, 200, &ok_body())
             }
             ("POST", "/plan") => self.endpoint_plan(stream, &req.body, shared),
@@ -351,7 +417,7 @@ impl Server {
     /// `true` once the queue is at least half full — the cached-only rung
     /// of the degradation ladder.
     fn under_pressure(&self, shared: &Shared) -> bool {
-        let len = shared.queue.lock().unwrap().len();
+        let len = shared.lock().conns.len();
         len * 2 >= self.cfg.queue_depth.max(1)
     }
 
@@ -405,7 +471,7 @@ impl Server {
         let pl = ops::make_planner(&platform, batch, self.cfg.models.clone());
         let pressured = self.under_pressure(shared);
 
-        let graphs: Vec<Graph> = if let Some(manifest) = &req.manifest {
+        let graphs: Vec<Arc<Graph>> = if let Some(manifest) = &req.manifest {
             if req.model.is_some() || req.models.is_some() {
                 return json_response(
                     stream,
@@ -417,7 +483,7 @@ impl Server {
                 );
             }
             match import_manifest(manifest) {
-                Ok(g) => vec![g],
+                Ok(g) => vec![Arc::new(g)],
                 Err(e) => return json_response(stream, 400, &ErrorResponse { error: e }),
             }
         } else {
@@ -447,7 +513,7 @@ impl Server {
             };
             let mut graphs = Vec::with_capacity(names.len());
             for name in &names {
-                match ops::graph_by_name(name) {
+                match self.zoo.get(name) {
                     Ok(g) => graphs.push(g),
                     Err(e) => return json_response(stream, 400, &ErrorResponse { error: e }),
                 }
@@ -512,7 +578,7 @@ impl Server {
             Ok(p) => p,
             Err(e) => return json_response(stream, 400, &ErrorResponse { error: e }),
         };
-        let graph = match ops::graph_by_name(model) {
+        let graph = match self.zoo.get(model) {
             Ok(g) => g,
             Err(e) => return json_response(stream, 400, &ErrorResponse { error: e }),
         };
@@ -579,7 +645,7 @@ impl Server {
             Ok(p) => p,
             Err(e) => return json_response(stream, 400, &ErrorResponse { error: e }),
         };
-        let graph = match ops::graph_by_name(model) {
+        let graph = match self.zoo.get(model) {
             Ok(g) => g,
             Err(e) => return json_response(stream, 400, &ErrorResponse { error: e }),
         };
@@ -607,11 +673,7 @@ impl Server {
     /// per-tenant store stats (bounded by the store's tenant-table cap).
     fn render_metrics(&self, shared: &Shared) -> String {
         let mut out = String::with_capacity(1024);
-        let _ = writeln!(
-            out,
-            "serve.queue_len {}",
-            shared.queue.lock().unwrap().len()
-        );
+        let _ = writeln!(out, "serve.queue_len {}", shared.lock().conns.len());
         let _ = writeln!(out, "serve.queue_cap {}", self.cfg.queue_depth);
         let snap = obs::snapshot();
         let counter = |name: &str| {
@@ -683,6 +745,18 @@ fn import_manifest(manifest: &serde::Value) -> Result<Graph, String> {
             }
         }
     }
+}
+
+/// Where a self-connect reaches a listener bound to `addr`: the address
+/// itself, or the loopback address of its family for a wildcard bind.
+fn wake_target(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    addr
 }
 
 /// `numerator / denominator` as a finite metrics value: 0 when the
@@ -757,5 +831,54 @@ fn plan_response(
                 freq_mhz: platform.gpu_table().freq_mhz(p.gpu_level),
             })
             .collect(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn zoo_table_resolves_each_name_once() {
+        let table = ZooTable::new();
+        let first = table.get("alexnet").unwrap();
+        let second = table.get("alexnet").unwrap();
+        assert!(Arc::ptr_eq(&first, &second));
+        assert!(!Arc::ptr_eq(&first, &table.get("resnet34").unwrap()));
+    }
+
+    #[test]
+    fn zoo_table_unknown_name_keeps_the_graph_by_name_error() {
+        let table = ZooTable::new();
+        assert_eq!(
+            table.get("nope").unwrap_err(),
+            ops::graph_by_name("nope").unwrap_err()
+        );
+    }
+
+    #[test]
+    fn zoo_table_graphs_match_freshly_built_ones() {
+        let table = ZooTable::new();
+        for (name, build) in zoo::all_models() {
+            let shared = table.get(name).unwrap();
+            let fresh = build();
+            assert_eq!(*shared, fresh, "{name}");
+            assert_eq!(shared.fingerprint(), fresh.fingerprint(), "{name}");
+        }
+    }
+
+    #[test]
+    fn wake_target_maps_wildcards_to_loopback_of_the_same_family() {
+        let cases = [
+            ("0.0.0.0:8780", "127.0.0.1:8780"),
+            ("[::]:8780", "[::1]:8780"),
+            ("127.0.0.1:8780", "127.0.0.1:8780"),
+            ("192.0.2.7:8780", "192.0.2.7:8780"),
+            ("[::1]:8780", "[::1]:8780"),
+        ];
+        for (bound, target) in cases {
+            let bound: SocketAddr = bound.parse().unwrap();
+            assert_eq!(wake_target(bound).to_string(), target);
+        }
     }
 }

@@ -1,15 +1,20 @@
 //! Drives a live daemon over real TCP sockets: concurrent mixed traffic,
-//! cache warm-up across requests, overload shedding, and clean shutdown.
+//! cache warm-up across requests, zoo graphs resolved once per daemon,
+//! overload shedding, and clean shutdown.
 //!
 //! The obs registry is process-global and shared across parallel tests,
 //! so all counter assertions here are on *deltas* between two `/metrics`
 //! scrapes, never on absolute values.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::mpsc;
 use std::thread;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
+use powerlens_dnn::zoo;
 use powerlens_serve::http::request;
-use powerlens_serve::{ServeConfig, ServeReport, Server};
+use powerlens_serve::{ops, ServeConfig, ServeReport, Server};
 use serde::Value;
 
 /// Binds a daemon with `cfg`, runs it on a background thread, and returns
@@ -282,4 +287,210 @@ fn overload_degrades_or_sheds_instead_of_hanging() {
         "shed responses and the report must agree"
     );
     assert!(report.degraded >= degraded.min(1));
+}
+
+/// Blocks, levels, CPU level and scheme of one `/plan` response body.
+fn plan_summary(v: &Value) -> (Vec<(f64, f64)>, Vec<f64>, f64, f64) {
+    let num = |v: &Value| match v {
+        Value::Num(n) => *n,
+        other => panic!("expected a number, got {other:?}"),
+    };
+    let Value::Array(blocks) = field(v, "blocks") else {
+        panic!("blocks must be an array")
+    };
+    let Value::Array(points) = field(v, "points") else {
+        panic!("points must be an array")
+    };
+    (
+        blocks
+            .iter()
+            .map(|b| (num(field(b, "start")), num(field(b, "end"))))
+            .collect(),
+        points.iter().map(|p| num(field(p, "gpu_level"))).collect(),
+        num(field(v, "cpu_level")),
+        num(field(v, "scheme_index")),
+    )
+}
+
+#[test]
+fn zoo_names_plan_and_lint_like_freshly_built_graphs() {
+    let (addr, handle) = spawn_daemon(ServeConfig {
+        workers: 2,
+        batch: 4,
+        ..ServeConfig::default()
+    });
+    let platform = ops::platform_by_name("agx").unwrap();
+    let planner = ops::make_planner(&platform, 4, None);
+    let names: Vec<&str> = zoo::all_models().into_iter().map(|(n, _)| n).collect();
+
+    // One cold batch plans every zoo model; a single request per model
+    // then hits the store through the same resolved graphs.
+    let batch = format!(r#"{{"models": {names:?}, "tenant": "zoo-table"}}"#);
+    let (status, body) = request(&addr, "POST", "/plan", &batch).unwrap();
+    assert_eq!(status, 200, "{body}");
+    let v: Value = serde_json::from_str(&body).unwrap();
+    let Value::Array(cold) = field(&v, "plans") else {
+        panic!("plans must be an array")
+    };
+    assert_eq!(cold.len(), names.len());
+
+    for (name, cold) in names.iter().zip(cold) {
+        let fresh = ops::graph_by_name(name).unwrap();
+        let o = planner.plan_oracle(&fresh).unwrap();
+        let expected = (
+            o.view
+                .blocks()
+                .iter()
+                .map(|b| (b.start as f64, b.end as f64))
+                .collect::<Vec<_>>(),
+            o.plan
+                .points()
+                .iter()
+                .map(|p| p.gpu_level as f64)
+                .collect::<Vec<_>>(),
+            o.plan.cpu_level() as f64,
+            o.scheme_index as f64,
+        );
+        assert_eq!(field(cold, "model"), &Value::Str(name.to_string()));
+        assert_eq!(plan_summary(cold), expected, "{name} cold");
+
+        let single = format!(r#"{{"model": "{name}", "tenant": "zoo-table"}}"#);
+        let (status, body) = request(&addr, "POST", "/plan", &single).unwrap();
+        assert_eq!(status, 200, "{body}");
+        let warm: Value = serde_json::from_str(&body).unwrap();
+        assert_eq!(field(&warm, "cached"), &Value::Bool(true), "{name}");
+        assert_eq!(plan_summary(&warm), expected, "{name} warm");
+    }
+
+    // `/lint` counts match linting a freshly built graph, cold and warm.
+    for name in ["alexnet", "mobilenet_v3", "resnet34", "vit_base_32"] {
+        let fresh = ops::graph_by_name(name).unwrap();
+        let report = ops::lint_model(&platform, &fresh, 4).unwrap();
+        let expected = (
+            Value::Num(report.num_errors() as f64),
+            Value::Num(report.num_warnings() as f64),
+        );
+        for pass in ["cold", "warm"] {
+            let body = format!(r#"{{"model": "{name}", "batch": 4}}"#);
+            let (status, body) = request(&addr, "POST", "/lint", &body).unwrap();
+            assert_eq!(status, 200, "{body}");
+            let v: Value = serde_json::from_str(&body).unwrap();
+            let got = (field(&v, "errors").clone(), field(&v, "warnings").clone());
+            assert_eq!(got, expected, "{name} {pass}");
+        }
+    }
+
+    // Unknown names keep the error text of `ops::graph_by_name`.
+    let (status, body) = request(&addr, "POST", "/plan", r#"{"model": "nope"}"#).unwrap();
+    assert_eq!(status, 400);
+    let v: Value = serde_json::from_str(&body).unwrap();
+    assert_eq!(
+        field(&v, "error"),
+        &Value::Str(ops::graph_by_name("nope").unwrap_err())
+    );
+
+    let (status, _) = request(&addr, "POST", "/shutdown", "").unwrap();
+    assert_eq!(status, 200);
+    handle.join().unwrap();
+}
+
+#[test]
+fn wildcard_bind_returns_promptly_after_shutdown() {
+    let server = Server::bind(ServeConfig {
+        addr: "0.0.0.0".to_string(),
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let port = server.local_addr().rsplit_once(':').unwrap().1.to_string();
+    let addr = format!("127.0.0.1:{port}");
+    let (done, finished) = mpsc::channel();
+    let handle = thread::spawn(move || {
+        let report = server.run().expect("run");
+        let _ = done.send(());
+        report
+    });
+
+    let (status, _) = request(&addr, "GET", "/healthz", "").unwrap();
+    assert_eq!(status, 200);
+    let (status, _) = request(&addr, "POST", "/shutdown", "").unwrap();
+    assert_eq!(status, 200);
+    assert!(
+        finished.recv_timeout(Duration::from_secs(1)).is_ok(),
+        "run() still blocked 1 s after the /shutdown reply"
+    );
+    assert_eq!(handle.join().unwrap().requests, 2);
+}
+
+/// Connects and sends one request without reading the reply.
+fn send(addr: &str, method: &str, path: &str) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let head = format!("{method} {path} HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+    stream.write_all(head.as_bytes()).unwrap();
+    stream
+}
+
+/// Reads a reply to the end and returns its status code; `None` when the
+/// daemon closed the connection without answering.
+fn status_of(mut stream: TcpStream) -> Option<u16> {
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).ok()?;
+    reply.split_whitespace().nth(1)?.parse().ok()
+}
+
+#[test]
+fn requests_queued_before_shutdown_are_all_answered() {
+    let (addr, handle) = spawn_daemon(ServeConfig {
+        workers: 1,
+        queue_depth: 5,
+        ..ServeConfig::default()
+    });
+
+    // The only worker blocks on a request whose head is unfinished. The
+    // daemon accepts connections in connect order, so /shutdown and three
+    // requests queue behind it, then two probes meet a full 5-deep queue.
+    let mut held = TcpStream::connect(&addr).unwrap();
+    held.write_all(b"GET /healthz HTTP/1.1\r\n").unwrap();
+    let shutdown = send(&addr, "POST", "/shutdown");
+    let queued: Vec<TcpStream> = (0..3).map(|_| send(&addr, "GET", "/healthz")).collect();
+    let probes = [
+        send(&addr, "GET", "/healthz"),
+        send(&addr, "GET", "/healthz"),
+    ];
+
+    let (replies, probe_statuses) = mpsc::channel();
+    let mut statuses = thread::scope(|s| {
+        for probe in probes {
+            let replies = replies.clone();
+            s.spawn(move || replies.send(status_of(probe)).unwrap());
+        }
+        // Whenever the worker takes the held request off the queue, at
+        // least one probe is shed, and no queued probe can be answered
+        // while the worker is held. So the first reply is a 429, and it
+        // means /shutdown and the three requests have been admitted.
+        let first = probe_statuses.recv().unwrap();
+        assert_eq!(first, Some(429));
+
+        // Release the worker: it answers the held request, then /shutdown,
+        // then everything still queued.
+        held.write_all(b"\r\n").unwrap();
+        assert_eq!(status_of(held), Some(200));
+        assert_eq!(status_of(shutdown), Some(200));
+        for stream in queued {
+            assert_eq!(status_of(stream), Some(200));
+        }
+        vec![first, probe_statuses.recv().unwrap()]
+    });
+    // The other probe was shed, queued and answered, or accepted only
+    // after /shutdown and closed unanswered.
+    statuses.sort();
+    assert!(
+        matches!(statuses[..], [None | Some(200 | 429), Some(429)]),
+        "{statuses:?}"
+    );
+    let shed = statuses.iter().filter(|s| **s == Some(429)).count() as u64;
+    let answered = statuses.iter().filter(|s| **s == Some(200)).count() as u64;
+    let report = handle.join().unwrap();
+    assert_eq!(report.rejected, shed);
+    assert_eq!(report.requests, 5 + answered);
 }
