@@ -45,7 +45,6 @@ use powerlens_numeric::{
     covariance, euclidean, mahalanobis, pseudo_inverse, Matrix, NumericError, Scaler, Whitener,
 };
 use powerlens_obs as obs;
-use powerlens_par as par;
 
 /// Hyperparameters of Algorithm 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -222,6 +221,11 @@ fn blend_spacing(d: &Matrix, d_max: f64, alpha: f64, lambda: f64) -> Matrix {
     out
 }
 
+/// Side of the square tiles in which [`power_distance_matrix`] mirrors its
+/// upper triangle: a 32×32 tile of `f64` is 8 KiB, so the row-wise reads
+/// and column-wise writes of one tile stay in L1.
+const MIRROR_TILE: usize = 32;
+
 /// Computes the blended power-distance matrix (Algorithm 1 lines 1-12):
 /// `α · D̂ + (1-α) · (1 - exp(-λ|i-j|))` with `D̂` the max-normalized
 /// Mahalanobis distance over the *scaled* feature rows.
@@ -229,10 +233,16 @@ fn blend_spacing(d: &Matrix, d_max: f64, alpha: f64, lambda: f64) -> Matrix {
 /// The Mahalanobis step whitens the scaled rows once
 /// ([`powerlens_numeric::Whitener`]) and measures plain Euclidean distance
 /// over whitened coordinates — O(n·d² + n²·d) instead of the per-pair
-/// quadratic form's O(n²·d²) — and fans the upper-triangle rows out over
-/// the scoped thread pool. Each matrix element is computed independently
-/// and written at a fixed position, so the result is bit-identical for any
-/// thread count.
+/// quadratic form's O(n²·d²).
+///
+/// Everything happens in the one `n × n` output buffer, on the calling
+/// thread: the raw upper-triangle distances are written row by row while
+/// tracking their maximum, then blended in place — the spacing term depends
+/// only on `j - i`, so it is a table of `n` values rather than `n²` `exp`
+/// calls — and finally mirrored into the lower triangle tile by tile. Each
+/// element goes through the same operations as in
+/// [`power_distance_matrix_reference`]'s blend, so only the Mahalanobis
+/// factorization separates the two.
 ///
 /// # Errors
 ///
@@ -248,24 +258,33 @@ pub fn power_distance_matrix(
     let cov = covariance(&x)?;
     let z = Whitener::from_covariance(&cov)?.whiten(&x)?;
     let n = z.rows();
-    // Upper-triangle rows are independent work units; row i holds the
-    // distances to j in (i+1)..n.
-    let tri: Vec<Vec<f64>> = par::map_range(n, 0, |i| {
-        ((i + 1)..n)
-            .map(|j| euclidean(z.row(i), z.row(j)))
-            .collect()
-    });
-    let mut d = Matrix::zeros(n, n);
+    let mut out = Matrix::zeros(n, n);
     let mut d_max: f64 = 0.0;
-    for (i, row) in tri.iter().enumerate() {
-        for (off, &m) in row.iter().enumerate() {
-            let j = i + 1 + off;
-            d[(i, j)] = m;
-            d[(j, i)] = m;
+    for i in 0..n {
+        let zi = z.row(i);
+        for (j, slot) in out.row_mut(i).iter_mut().enumerate().skip(i + 1) {
+            let m = euclidean(zi, z.row(j));
+            *slot = m;
             d_max = d_max.max(m);
         }
     }
-    let out = blend_spacing(&d, d_max, alpha, lambda);
+    let scale = if d_max > 0.0 { d_max } else { 1.0 };
+    let spacing: Vec<f64> = (0..n).map(|k| 1.0 - (-lambda * k as f64).exp()).collect();
+    for i in 0..n {
+        for (slot, s) in out.row_mut(i)[i + 1..].iter_mut().zip(&spacing[1..]) {
+            *slot = alpha * *slot / scale + (1.0 - alpha) * s;
+        }
+    }
+    let data = out.as_mut_slice();
+    for bi in (0..n).step_by(MIRROR_TILE) {
+        for bj in (bi..n).step_by(MIRROR_TILE) {
+            for i in bi..(bi + MIRROR_TILE).min(n) {
+                for j in bj.max(i + 1)..(bj + MIRROR_TILE).min(n) {
+                    data[j * n + i] = data[i * n + j];
+                }
+            }
+        }
+    }
     if obs::enabled() {
         obs::histogram("cluster.distance_ms", started.elapsed().as_secs_f64() * 1e3);
     }
@@ -435,8 +454,9 @@ pub fn process_clusters(labels: &[Option<usize>], min_len: usize) -> PowerView {
 }
 
 /// The expensive, sweep-invariant middle of Algorithm 1: depthwise
-/// features, smoothing, and the blended whitened distance matrix, computed
-/// once and reused across every (ε, minPts) evaluation.
+/// features, smoothing, the blended whitened distance matrix and a
+/// per-row neighbour index, computed once and reused across every
+/// (ε, minPts) evaluation.
 ///
 /// The matrix depends only on the features and on the *shape* parameters
 /// (`alpha`, `lambda`, `smooth_radius`); the DBSCAN parameters (`epsilon`,
@@ -447,6 +467,9 @@ pub fn process_clusters(labels: &[Option<usize>], min_len: usize) -> PowerView {
 /// per point. [`cluster_graph`] is exactly `build` + `cluster`, so cached
 /// sweeps are result-identical to from-scratch calls (see the
 /// sweep-incrementality property test).
+///
+/// Memory is 13 bytes per pair: the `f64` matrix plus a `u32` column id and
+/// its `u8` bucket in the neighbour index.
 #[derive(Debug, Clone)]
 pub struct DistanceCache {
     num_layers: usize,
@@ -455,27 +478,22 @@ pub struct DistanceCache {
     lambda: f64,
     smooth_radius: usize,
     dist: Matrix,
-    /// Quantized distance screen: `screen[i * n + j]` is the bucket of
-    /// `dist[(i, j)]` under [`quant_bucket`]. Region queries compare
-    /// buckets first — one byte per pair instead of eight, so a sweep's
-    /// repeated full-matrix scans stay cache-resident — and only fall back
-    /// to the exact `f64` on bucket ties, which keeps the screen
-    /// *bit-exact* with respect to `d <= epsilon`.
-    screen: Vec<u8>,
+    /// Per-row neighbour lists for DBSCAN's region queries.
+    index: NeighbourIndex,
 }
 
-/// Bucket width divisor for the quantized screen. The blended distance is
+/// Bucket width divisor for the neighbour index. The blended distance is
 /// bounded by `alpha + (1 - alpha) = 1`, so 170 buckets per unit spreads
 /// real distances across ~170 of the 256 buckets with saturation headroom.
 const QUANT_SCALE: f64 = 170.0;
 
-/// Maps a distance to its screen bucket. Saturating `as` casts make this
+/// Maps a distance to its index bucket. Saturating `as` casts make this
 /// total: anything at or above 255/170 ≈ 1.5 — including `+inf` — lands in
 /// bucket 255, and NaN (only reachable through `from_parts_unchecked`) is
 /// sent there explicitly so it can never be claimed "definitely within ε"
 /// (`NaN <= eps` is false in the exact comparison).
 ///
-/// Exactness of the three-way screen, for `b = quant_bucket(d)` and
+/// Exactness of the three-way split, for `b = quant_bucket(d)` and
 /// `eb = quant_bucket(eps)`:
 /// - `b < eb`: `d·c < b + 1 <= eb <= eps·c`, so `d < eps` — definitely in.
 /// - `b > eb` (so `eb < 255`): `eps·c < eb + 1 <= min(b, 255) <= d·c` (or
@@ -489,23 +507,84 @@ fn quant_bucket(d: f64) -> u8 {
     }
 }
 
-fn build_screen(dist: &Matrix) -> Vec<u8> {
-    let n = dist.rows();
-    let mut screen = Vec::with_capacity(n * dist.cols());
-    for i in 0..n {
-        screen.extend((0..dist.cols()).map(|j| quant_bucket(dist[(i, j)])));
+/// Every row's column ids, counting-sorted by [`quant_bucket`] of their
+/// distance (ascending column id within a bucket), next to the sorted
+/// buckets themselves. An ε region of row `i` is then a prefix of its list
+/// — the buckets strictly below ε's — plus the ε-bucket ties, which are
+/// compared against the exact `f64`.
+///
+/// Lists cover the first `width = min(rows, cols)` columns: columns a
+/// non-square matrix lacks, and columns past its last row (which name no
+/// point), lie outside every ε.
+#[derive(Debug, Clone)]
+struct NeighbourIndex {
+    width: usize,
+    /// `order[i * width..(i + 1) * width]` is row `i`'s list.
+    order: Vec<u32>,
+    /// `buckets[i * width + k]` is the bucket of `order[i * width + k]`.
+    buckets: Vec<u8>,
+}
+
+impl NeighbourIndex {
+    fn build(dist: &Matrix) -> Self {
+        let width = dist.rows().min(dist.cols());
+        let mut order = vec![0u32; dist.rows() * width];
+        let mut buckets = vec![0u8; dist.rows() * width];
+        let mut row_buckets = vec![0u8; width];
+        let rows = order
+            .chunks_exact_mut(width.max(1))
+            .zip(buckets.chunks_exact_mut(width.max(1)));
+        for (i, (list, sorted)) in rows.enumerate() {
+            let mut starts = [0usize; 257];
+            for (b, &d) in row_buckets.iter_mut().zip(&dist.row(i)[..width]) {
+                *b = quant_bucket(d);
+                starts[*b as usize + 1] += 1;
+            }
+            for b in 0..256 {
+                sorted[starts[b]..starts[b] + starts[b + 1]].fill(b as u8);
+                starts[b + 1] += starts[b];
+            }
+            for (j, &b) in row_buckets.iter().enumerate() {
+                list[starts[b as usize]] = j as u32;
+                starts[b as usize] += 1;
+            }
+        }
+        NeighbourIndex {
+            width,
+            order,
+            buckets,
+        }
     }
-    screen
+
+    /// Writes into `region` the columns `j` of row `i` with
+    /// `dist[(i, j)] <= epsilon`.
+    fn region(&self, dist: &Matrix, i: usize, epsilon: f64, region: &mut Vec<u32>) {
+        let eps_bucket = quant_bucket(epsilon);
+        let span = i * self.width..(i + 1) * self.width;
+        let (list, buckets) = (&self.order[span.clone()], &self.buckets[span]);
+        let inside = buckets.partition_point(|&b| b < eps_bucket);
+        let ties = buckets[inside..].partition_point(|&b| b == eps_bucket);
+        region.clear();
+        region.extend_from_slice(&list[..inside]);
+        let row = dist.row(i);
+        region.extend(
+            list[inside..inside + ties]
+                .iter()
+                .filter(|&&j| row[j as usize] <= epsilon),
+        );
+    }
 }
 
 /// Sweep-tuned [`dbscan`]: identical labels, restructured for the many
 /// re-thresholds a [`DistanceCache`] serves. Three changes over the
 /// reference:
 ///
-/// - **Region queries screen on quantized buckets** ([`quant_bucket`]),
-///   touching one byte per pair instead of eight and falling back to the
-///   exact `f64` only on bucket ties — bit-exact, but the sweep's repeated
-///   full scans read a cache-resident byte array.
+/// - **Region queries read only the neighbours.** Row `i`'s column ids are
+///   sorted by distance bucket ([`quant_bucket`]), so the columns in
+///   buckets strictly below ε's are copied as one prefix and only the
+///   ε-bucket ties are compared against the exact `f64` — bit-exact with
+///   respect to `d <= epsilon`, at a cost proportional to the region size
+///   instead of a full row scan.
 /// - **Region queries reuse one scratch buffer** instead of allocating a
 ///   fresh `Vec` per query.
 /// - **Adoption happens at discovery and each point enters the queue at
@@ -519,69 +598,76 @@ fn build_screen(dist: &Matrix) -> Vec<u8> {
 /// DBSCAN's outcome depends only on the *membership* of each
 /// ε-neighbourhood (core status, core-core connectivity, and
 /// first-reaching-cluster adoption are all set-level properties, and
-/// clusters are discovered in ascending seed order either way), so both
-/// implementations agree exactly — pinned across an ε×minPts grid by the
+/// clusters are discovered in ascending seed order either way). The order
+/// of a region — by bucket here, by column id in the reference — only
+/// decides which point of an expansion is pushed, and so expanded, first;
+/// the expansion still reaches the same set. Both implementations
+/// therefore agree exactly — pinned across an ε×minPts grid by the
 /// `distance_cache_sweep_equals_from_scratch` property test, which
 /// compares every cached re-threshold against plain [`dbscan`] +
-/// [`process_clusters`].
-fn dbscan_scan(dist: &Matrix, screen: &[u8], epsilon: f64, min_pts: usize) -> Vec<Option<usize>> {
+/// [`process_clusters`], and on bucket-edge and tied ε values by
+/// `sorted_regions_match_reference_on_ties`.
+fn dbscan_scan(
+    dist: &Matrix,
+    index: &NeighbourIndex,
+    epsilon: f64,
+    min_pts: usize,
+) -> Vec<Option<usize>> {
     let n = dist.rows();
-    let stride = dist.cols();
-    let eps_bucket = quant_bucket(epsilon);
     let mut labels: Vec<Option<usize>> = vec![None; n];
-    let mut visited = vec![false; n];
     let mut cluster = 0;
     let mut expansions: u64 = 0;
     let mut queue: Vec<u32> = Vec::new();
-    let mut region: Vec<u32> = Vec::with_capacity(n);
-    // Each point is queried exactly once per run (either as an outer-loop
-    // seed or when popped from the queue), so a run reads every screen row
-    // once — the byte screen, not the f64 matrix, is the memory floor.
-    let query = |i: usize, region: &mut Vec<u32>| {
-        region.clear();
-        let row = &screen[i * stride..i * stride + n];
-        for (j, &b) in row.iter().enumerate() {
-            if b < eps_bucket || (b == eps_bucket && dist[(i, j)] <= epsilon) {
-                region.push(j as u32);
-            }
-        }
-    };
+    let mut region: Vec<u32> = Vec::with_capacity(index.width);
+    // A point is unseen, visited as noise (may still be adopted), or
+    // labelled; labelled points are always visited, so one state byte per
+    // point answers both "adopt?" and "enqueue?".
+    const UNSEEN: u8 = 0;
+    const NOISE: u8 = 1;
+    const LABELLED: u8 = 2;
+    let mut state = vec![UNSEEN; n];
     let absorb = |r: u32,
                   cluster: usize,
                   labels: &mut [Option<usize>],
-                  visited: &mut [bool],
+                  state: &mut [u8],
                   queue: &mut Vec<u32>| {
         let r = r as usize;
-        if labels[r].is_none() {
-            labels[r] = Some(cluster);
-        }
-        if !visited[r] {
-            visited[r] = true;
-            queue.push(r as u32);
+        match state[r] {
+            LABELLED => {}
+            NOISE => {
+                labels[r] = Some(cluster);
+                state[r] = LABELLED;
+            }
+            _ => {
+                labels[r] = Some(cluster);
+                state[r] = LABELLED;
+                queue.push(r as u32);
+            }
         }
     };
     for i in 0..n {
-        if visited[i] {
+        if state[i] != UNSEEN {
             continue;
         }
-        visited[i] = true;
-        query(i, &mut region);
+        index.region(dist, i, epsilon, &mut region);
         if region.len() < min_pts {
+            state[i] = NOISE;
             continue; // noise (may be adopted by a later cluster)
         }
         labels[i] = Some(cluster);
+        state[i] = LABELLED;
         queue.clear();
         for &r in &region {
-            absorb(r, cluster, &mut labels, &mut visited, &mut queue);
+            absorb(r, cluster, &mut labels, &mut state, &mut queue);
         }
         while let Some(q) = queue.pop() {
             expansions += 1;
-            query(q as usize, &mut region);
+            index.region(dist, q as usize, epsilon, &mut region);
             if region.len() < min_pts {
                 continue; // border point: adopted, never expanded
             }
             for &r in &region {
-                absorb(r, cluster, &mut labels, &mut visited, &mut queue);
+                absorb(r, cluster, &mut labels, &mut state, &mut queue);
             }
         }
         cluster += 1;
@@ -626,7 +712,7 @@ impl DistanceCache {
     pub fn from_features(features: &Matrix, params: &ClusterParams) -> Result<Self, NumericError> {
         let smoothed = smooth_features(features, params.smooth_radius);
         let dist = power_distance_matrix(&smoothed, params.alpha, params.lambda)?;
-        let screen = build_screen(&dist);
+        let index = NeighbourIndex::build(&dist);
         Ok(DistanceCache {
             num_layers: features.rows(),
             feature_dim: features.cols(),
@@ -634,7 +720,7 @@ impl DistanceCache {
             lambda: params.lambda,
             smooth_radius: params.smooth_radius,
             dist,
-            screen,
+            index,
         })
     }
 
@@ -678,7 +764,7 @@ impl DistanceCache {
             "DistanceCache matrix rows must equal the layer count"
         );
         let started = Instant::now();
-        let labels = dbscan_scan(&self.dist, &self.screen, params.epsilon, params.min_pts);
+        let labels = dbscan_scan(&self.dist, &self.index, params.epsilon, params.min_pts);
         let view = process_clusters(&labels, params.min_pts.max(2));
         if obs::enabled() {
             obs::histogram("cluster.dbscan_ms", started.elapsed().as_secs_f64() * 1e3);
@@ -721,7 +807,7 @@ impl DistanceCache {
         params: &ClusterParams,
         dist: Matrix,
     ) -> Self {
-        let screen = build_screen(&dist);
+        let index = NeighbourIndex::build(&dist);
         DistanceCache {
             num_layers,
             feature_dim,
@@ -729,7 +815,7 @@ impl DistanceCache {
             lambda: params.lambda,
             smooth_radius: params.smooth_radius,
             dist,
-            screen,
+            index,
         }
     }
 }
@@ -843,6 +929,87 @@ mod tests {
         let labels = dbscan(&d, 0.5, 1);
         assert!(labels[0].is_some() && labels[1].is_some());
         assert_ne!(labels[0], labels[1]);
+    }
+
+    #[test]
+    fn sorted_regions_match_reference_on_ties() {
+        // ε on a bucket edge (ε·170 an integer) and ε equal to a matrix
+        // entry put neighbours in ε's own bucket, so region queries take
+        // the exact-comparison tie path; labels must still equal the
+        // full-scan reference.
+        let check = |d: &Matrix, eps: f64| {
+            let index = NeighbourIndex::build(d);
+            let eb = quant_bucket(eps);
+            let ties = d
+                .as_slice()
+                .iter()
+                .filter(|&&v| quant_bucket(v) == eb)
+                .count();
+            for min_pts in [1, 2, 3, 4, 6] {
+                assert_eq!(
+                    dbscan_scan(d, &index, eps, min_pts),
+                    dbscan(d, eps, min_pts),
+                    "eps {eps} (bucket {eb}, {ties} ties) min_pts {min_pts}"
+                );
+            }
+            ties
+        };
+        let g = zoo::resnet34();
+        let cache = DistanceCache::build(&g, &ClusterParams::default()).unwrap();
+        let d = cache.distance();
+        let n = d.rows();
+        let mut ties = 0;
+        for k in 1..=60 {
+            ties += check(d, k as f64 / QUANT_SCALE);
+        }
+        for (i, j) in [(0, 1), (2, 7), (5, 30), (n / 2, n / 2 + 3), (1, n - 1)] {
+            ties += check(d, d[(i, j)]);
+        }
+        assert!(ties > 0, "no ε-bucket ties exercised");
+        // Every off-diagonal distance sits exactly on a bucket edge.
+        let mut edges = Matrix::zeros(12, 12);
+        for i in 0..12 {
+            for j in 0..12 {
+                if i != j {
+                    edges[(i, j)] = ((i * j + i + j) % 9 + 1) as f64 / QUANT_SCALE;
+                }
+            }
+        }
+        for k in 0..=10 {
+            check(&edges, k as f64 / QUANT_SCALE);
+        }
+    }
+
+    #[test]
+    fn non_square_unchecked_caches_cluster_like_their_square_reading() {
+        // Columns a tall matrix lacks lie outside every ε: the cache must
+        // cluster like the reference over the matrix padded with +inf.
+        let tall = Matrix::zeros(5, 3);
+        let mut padded = Matrix::from_vec(5, 5, vec![f64::INFINITY; 25]).unwrap();
+        for i in 0..5 {
+            for j in 0..3 {
+                padded[(i, j)] = tall[(i, j)];
+            }
+        }
+        // Columns of a wide matrix past its rows name no point, however
+        // close: it must cluster like its leading square block.
+        let wide = Matrix::zeros(3, 5);
+        for (dist, square) in [(tall, padded), (wide, Matrix::zeros(3, 3))] {
+            let rows = dist.rows();
+            let cache =
+                DistanceCache::from_parts_unchecked(rows, 14, &ClusterParams::default(), dist);
+            for min_pts in [1, 2, 3, 4] {
+                let params = ClusterParams {
+                    min_pts,
+                    ..ClusterParams::default()
+                };
+                assert_eq!(
+                    cache.cluster(&params),
+                    process_clusters(&dbscan(&square, params.epsilon, min_pts), min_pts.max(2)),
+                    "{rows} rows, min_pts {min_pts}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,3 +1,4 @@
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -11,7 +12,7 @@ use powerlens_obs as obs;
 use powerlens_platform::{FreqLevel, Platform};
 use powerlens_sim::{InstrumentationPlan, InstrumentationPoint};
 
-use crate::{evaluate_plan, SchemeSpace, TrainedModels};
+use crate::{evaluate_plan, PlanEval, SchemeSpace, TrainedModels};
 
 /// Errors produced by the planning pipeline.
 #[derive(Debug)]
@@ -417,6 +418,24 @@ impl<'p> PowerLens<'p> {
         // space with heterogeneous shape parameters transparently rebuilds
         // on each mismatch.
         let mut cache: Option<DistanceCache> = None;
+        // Every scheme's decisions and evaluations come from the same graph,
+        // board and batch, so the per-layer level costs are timed once, a
+        // block range seen by an earlier scheme reuses its level, and a plan
+        // an earlier scheme already produced reuses its evaluation.
+        let t = Instant::now();
+        let table = {
+            let _s = obs::span("decision");
+            oracle::LevelTable::new(
+                self.platform,
+                graph,
+                0,
+                graph.num_layers(),
+                self.config.batch,
+            )
+        };
+        decision_time += t.elapsed();
+        let mut levels: HashMap<(usize, usize), FreqLevel> = HashMap::new();
+        let mut evals: Vec<(InstrumentationPlan, PlanEval)> = Vec::new();
         for idx in 0..self.config.schemes.len() {
             obs::counter("plan.schemes_scored", 1);
             let params = self.config.schemes.get(idx);
@@ -436,20 +455,31 @@ impl<'p> PowerLens<'p> {
             let t = Instant::now();
             let plan = {
                 let _s = obs::span("decision");
-                self.plan_from_view(&view, |lo, hi| self.oracle_block_level(graph, lo, hi))
+                self.plan_from_view(&view, |lo, hi| {
+                    *levels
+                        .entry((lo, hi))
+                        .or_insert_with(|| table.best_level(lo, hi, self.config.slack))
+                })
             };
             decision_time += t.elapsed();
             if obs::enabled() {
                 obs::histogram("plan.decide_ms", t.elapsed().as_secs_f64() * 1e3);
             }
 
-            let eval = evaluate_plan(
-                self.platform,
-                graph,
-                &plan,
-                self.config.batch,
-                self.config.label_images,
-            );
+            let eval = match evals.iter().find(|(p, _)| *p == plan) {
+                Some(&(_, eval)) => eval,
+                None => {
+                    let eval = evaluate_plan(
+                        self.platform,
+                        graph,
+                        &plan,
+                        self.config.batch,
+                        self.config.label_images,
+                    );
+                    evals.push((plan.clone(), eval));
+                    eval
+                }
+            };
             // Prefer the coarser view on (near-)ties: identical EE with more
             // instrumentation points is strictly worse operationally.
             let better = match best.as_ref() {

@@ -2,7 +2,7 @@
 //! generator ("Each block in the power view is deployed at all frequencies
 //! to select test data that achieves the optimal energy efficiency", §2.2).
 
-use powerlens_dnn::Graph;
+use powerlens_dnn::{Graph, Layer};
 use powerlens_platform::{FreqLevel, Platform};
 
 /// Outcome of evaluating one layer range at one frequency level.
@@ -17,6 +17,28 @@ pub struct RangeEval {
     /// Local energy efficiency proxy (1 / energy — higher is better for a
     /// fixed amount of work).
     pub efficiency: f64,
+}
+
+/// Time and energy of one layer at `gpu_level` (CPU at `cpu`): the summand
+/// of [`eval_range`] and one cell of a [`LevelTable`].
+fn layer_cost(
+    platform: &Platform,
+    layer: &Layer,
+    batch: usize,
+    gpu_level: FreqLevel,
+    cpu: FreqLevel,
+) -> (f64, f64) {
+    let t = platform.layer_timing(layer, batch, gpu_level, cpu);
+    (t.total, platform.layer_power(&t, gpu_level, cpu) * t.total)
+}
+
+fn range_eval(gpu_level: FreqLevel, time: f64, energy: f64) -> RangeEval {
+    RangeEval {
+        gpu_level,
+        time,
+        energy,
+        efficiency: if energy > 0.0 { 1.0 / energy } else { 0.0 },
+    }
 }
 
 /// Analytically evaluates the layer range `lo..hi` of `graph` at a fixed GPU
@@ -42,30 +64,101 @@ pub fn eval_range(
     let mut time = 0.0;
     let mut energy = 0.0;
     for layer in &graph.layers()[lo..hi] {
-        let t = platform.layer_timing(layer, batch, gpu_level, cpu);
-        time += t.total;
-        energy += platform.layer_power(&t, gpu_level, cpu) * t.total;
+        let (t, e) = layer_cost(platform, layer, batch, gpu_level, cpu);
+        time += t;
+        energy += e;
     }
-    RangeEval {
-        gpu_level,
-        time,
-        energy,
-        efficiency: if energy > 0.0 { 1.0 / energy } else { 0.0 },
-    }
+    range_eval(gpu_level, time, energy)
 }
 
-/// Sweeps every GPU level for the range and returns all evaluations
-/// (ascending by level).
-pub fn sweep_range(
-    platform: &Platform,
-    graph: &Graph,
-    lo: usize,
-    hi: usize,
-    batch: usize,
-) -> Vec<RangeEval> {
-    (0..platform.gpu_levels())
-        .map(|g| eval_range(platform, graph, lo, hi, batch, g))
-        .collect()
+/// Per-layer time and energy at every GPU level (CPU at max) for a
+/// contiguous layer range of one graph at one batch size.
+///
+/// Choosing a level for a layer range needs every level's summed cost over
+/// that range. A scheme sweep asks for many overlapping ranges of the same
+/// graph, so the oracle planner builds one table and answers them all from
+/// it instead of re-timing each layer per range and level.
+/// [`LevelTable::sweep`] sums the cells of a range in layer order, the same
+/// values added in the same order as [`eval_range`], so its results are
+/// bit-identical. (A prefix-sum table would answer in O(1) but round
+/// differently, and that can flip near-tie levels.)
+#[derive(Debug, Clone)]
+pub struct LevelTable {
+    first: usize,
+    levels: usize,
+    max_level: FreqLevel,
+    /// `cells[(layer - first) * levels + g]` = (time, energy) at level `g`.
+    cells: Vec<(f64, f64)>,
+}
+
+impl LevelTable {
+    /// Times layers `lo..hi` of `graph` at every GPU level.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is empty or out of bounds.
+    pub fn new(platform: &Platform, graph: &Graph, lo: usize, hi: usize, batch: usize) -> Self {
+        assert!(
+            lo < hi && hi <= graph.num_layers(),
+            "invalid range {lo}..{hi}"
+        );
+        let levels = platform.gpu_levels();
+        let cpu = platform.cpu_table().max_level();
+        let mut cells = Vec::with_capacity((hi - lo) * levels);
+        for layer in &graph.layers()[lo..hi] {
+            cells.extend((0..levels).map(|g| layer_cost(platform, layer, batch, g, cpu)));
+        }
+        LevelTable {
+            first: lo,
+            levels,
+            max_level: platform.gpu_table().max_level(),
+            cells,
+        }
+    }
+
+    /// Every level's evaluation of the range `lo..hi` (ascending by level).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is empty or not covered by the table.
+    pub fn sweep(&self, lo: usize, hi: usize) -> Vec<RangeEval> {
+        let rows = self.cells.len() / self.levels;
+        assert!(
+            self.first <= lo && lo < hi && hi <= self.first + rows,
+            "invalid range {lo}..{hi}"
+        );
+        let mut sums = vec![(0.0, 0.0); self.levels];
+        let cells = &self.cells[(lo - self.first) * self.levels..(hi - self.first) * self.levels];
+        for row in cells.chunks_exact(self.levels) {
+            for (acc, &(t, e)) in sums.iter_mut().zip(row) {
+                acc.0 += t;
+                acc.1 += e;
+            }
+        }
+        sums.into_iter()
+            .enumerate()
+            .map(|(g, (time, energy))| range_eval(g, time, energy))
+            .collect()
+    }
+
+    /// The GPU level minimizing the range's energy under the latency slack
+    /// (see [`best_level_for_range`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is empty or not covered by the table.
+    pub fn best_level(&self, lo: usize, hi: usize, slack: f64) -> FreqLevel {
+        let evals = self.sweep(lo, hi);
+        let t_max_level = evals[evals.len() - 1].time;
+        let budget = t_max_level * slack;
+        evals
+            .iter()
+            .filter(|e| e.time <= budget)
+            .min_by(|a, b| a.energy.partial_cmp(&b.energy).expect("finite energy"))
+            // If nothing meets the budget (cannot happen for slack >= 1),
+            // fall back to the maximum level.
+            .map_or(self.max_level, |e| e.gpu_level)
+    }
 }
 
 /// The GPU level minimizing the range's energy subject to a latency budget:
@@ -73,6 +166,9 @@ pub fn sweep_range(
 /// how "optimal energy efficiency" is selected while "maintaining
 /// performance" (§2.1.1) — pure energy minimization would always pick the
 /// lowest frequency.
+///
+/// The one-range case of [`LevelTable::best_level`]; callers choosing levels
+/// for many ranges of one graph should build the table once.
 pub fn best_level_for_range(
     platform: &Platform,
     graph: &Graph,
@@ -81,16 +177,7 @@ pub fn best_level_for_range(
     batch: usize,
     slack: f64,
 ) -> FreqLevel {
-    let evals = sweep_range(platform, graph, lo, hi, batch);
-    let t_max_level = evals[evals.len() - 1].time;
-    let budget = t_max_level * slack;
-    evals
-        .iter()
-        .filter(|e| e.time <= budget)
-        .min_by(|a, b| a.energy.partial_cmp(&b.energy).expect("finite energy"))
-        // If nothing meets the budget (cannot happen for slack >= 1), fall
-        // back to the maximum level.
-        .map_or(platform.gpu_table().max_level(), |e| e.gpu_level)
+    LevelTable::new(platform, graph, lo, hi, batch).best_level(lo, hi, slack)
 }
 
 /// The best *single* static level for the whole graph under the same latency
@@ -123,7 +210,7 @@ mod tests {
     fn sweep_is_monotonic_in_time() {
         let p = Platform::agx();
         let g = zoo::alexnet();
-        let evals = sweep_range(&p, &g, 0, g.num_layers(), 8);
+        let evals = LevelTable::new(&p, &g, 0, g.num_layers(), 8).sweep(0, g.num_layers());
         for w in evals.windows(2) {
             assert!(
                 w[0].time >= w[1].time,
@@ -167,6 +254,60 @@ mod tests {
             fc_level < conv_level,
             "fc block level {fc_level} should be below conv block level {conv_level}"
         );
+    }
+
+    #[test]
+    fn level_table_matches_per_range_sweeps_bit_for_bit() {
+        // SplitMix64 step: a fixed, dependency-free range generator.
+        let mut state = 0x5EED_u64;
+        let mut next = move |bound: usize| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        for p in [Platform::agx(), Platform::tx2()] {
+            for (name, build) in zoo::all_models() {
+                let g = build();
+                let n = g.num_layers();
+                let table = LevelTable::new(&p, &g, 0, n, 8);
+                let mut ranges = vec![(0, n), (0, 1), (n - 1, n)];
+                for _ in 0..12 {
+                    let lo = next(n);
+                    ranges.push((lo, lo + 1 + next(n - lo)));
+                }
+                for (lo, hi) in ranges {
+                    let sweep = table.sweep(lo, hi);
+                    assert_eq!(sweep.len(), p.gpu_levels());
+                    for (level, got) in sweep.iter().enumerate() {
+                        let want = eval_range(&p, &g, lo, hi, 8, level);
+                        assert_eq!(got.gpu_level, level);
+                        assert_eq!(got.time.to_bits(), want.time.to_bits(), "{name} {lo}..{hi}");
+                        assert_eq!(
+                            got.energy.to_bits(),
+                            want.energy.to_bits(),
+                            "{name} {lo}..{hi}"
+                        );
+                    }
+                    for slack in [1.0, 1.2, f64::INFINITY] {
+                        assert_eq!(
+                            table.best_level(lo, hi, slack),
+                            best_level_for_range(&p, &g, lo, hi, 8, slack),
+                            "{name} {lo}..{hi} slack {slack}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid range")]
+    fn level_table_rejects_ranges_outside_it() {
+        let p = Platform::agx();
+        let g = zoo::alexnet();
+        LevelTable::new(&p, &g, 2, 6, 1).sweep(1, 4);
     }
 
     #[test]
