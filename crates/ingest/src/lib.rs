@@ -61,6 +61,8 @@
 
 mod reader;
 
+pub use reader::member_span;
+
 use std::borrow::Cow;
 use std::fmt;
 
@@ -133,12 +135,11 @@ pub struct Import {
 // Raw manifest
 // ---------------------------------------------------------------------------
 //
-// Both frontends — the streaming reader ([`import_str`]'s hot path, which
-// never builds a JSON tree) and the [`Value`] walker ([`import_value`],
-// the serve daemon's inline-manifest path) — parse into this borrowed
-// intermediate, and a single `lower` turns it into a [`Graph`]. Keeping
-// validation and lowering in one place is what guarantees the two entry
-// points cannot drift apart semantically.
+// The streaming reader (`reader.rs`, which never builds a JSON tree)
+// parses manifest text into this borrowed intermediate, and `lower` turns
+// it into a [`Graph`]. It is the only frontend: [`import_value`]
+// serializes its tree back to text and streams that, so every entry point
+// shares one grammar, one error precedence and one lowering.
 
 /// An attribute value a node hyperparameter can take. Anything else
 /// (arrays, objects, booleans) is dropped at parse time; the operator
@@ -168,100 +169,16 @@ pub(crate) struct RawManifest<'a> {
     pub skip_edges: Vec<(usize, usize)>,
 }
 
-// ---------------------------------------------------------------------------
-// Value helpers
-// ---------------------------------------------------------------------------
-
-fn schema(msg: impl Into<String>) -> IngestError {
+pub(crate) fn schema(msg: impl Into<String>) -> IngestError {
     IngestError::Schema(msg.into())
-}
-
-fn as_object<'a>(v: &'a Value, what: &str) -> Result<&'a [(String, Value)], IngestError> {
-    match v {
-        Value::Object(fields) => Ok(fields),
-        other => Err(schema(format!(
-            "{what} must be an object, got {}",
-            other.kind()
-        ))),
-    }
-}
-
-fn get<'a>(fields: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn require<'a>(
-    fields: &'a [(String, Value)],
-    key: &str,
-    what: &str,
-) -> Result<&'a Value, IngestError> {
-    get(fields, key).ok_or_else(|| schema(format!("{what} is missing field `{key}`")))
-}
-
-fn as_str<'a>(v: &'a Value, what: &str) -> Result<&'a str, IngestError> {
-    match v {
-        Value::Str(s) => Ok(s),
-        other => Err(schema(format!(
-            "{what} must be a string, got {}",
-            other.kind()
-        ))),
-    }
-}
-
-fn as_array<'a>(v: &'a Value, what: &str) -> Result<&'a [Value], IngestError> {
-    match v {
-        Value::Array(items) => Ok(items),
-        other => Err(schema(format!(
-            "{what} must be an array, got {}",
-            other.kind()
-        ))),
-    }
-}
-
-fn as_f64(v: &Value, what: &str) -> Result<f64, IngestError> {
-    match v {
-        Value::Num(n) => Ok(*n),
-        other => Err(schema(format!(
-            "{what} must be a number, got {}",
-            other.kind()
-        ))),
-    }
-}
-
-/// Non-negative integer; rejects fractions, negatives and non-finite input.
-fn as_usize(v: &Value, what: &str) -> Result<usize, IngestError> {
-    let n = as_f64(v, what)?;
-    if !n.is_finite() || n.fract() != 0.0 || n < 0.0 || n > usize::MAX as f64 {
-        return Err(schema(format!(
-            "{what} must be a non-negative integer, got {n}"
-        )));
-    }
-    Ok(n as usize)
 }
 
 // ---------------------------------------------------------------------------
 // Shape codec
 // ---------------------------------------------------------------------------
 
-fn shape_from_value(v: &Value, what: &str) -> Result<TensorShape, IngestError> {
-    let fields = as_object(v, what)?;
-    let kind = as_str(require(fields, "kind", what)?, &format!("{what}.kind"))?;
-    let dims_v = as_array(require(fields, "dims", what)?, &format!("{what}.dims"))?;
-    let mut dims = Vec::with_capacity(dims_v.len());
-    for (i, d) in dims_v.iter().enumerate() {
-        let n = as_usize(d, &format!("{what}.dims[{i}]"))?;
-        if n == 0 {
-            return Err(schema(format!(
-                "{what}.dims[{i}] must be a positive integer"
-            )));
-        }
-        dims.push(n);
-    }
-    shape_from_parts(kind, &dims, what)
-}
-
 /// Assembles a [`TensorShape`] from an already-validated kind string and
-/// positive dims — the piece both manifest frontends share.
+/// positive dims.
 pub(crate) fn shape_from_parts(
     kind: &str,
     dims: &[usize],
@@ -533,9 +450,10 @@ struct NodeSpec {
 
 /// Imports a manifest from JSON text.
 ///
-/// This is the hot path (the CLI's `--model` flag, the bench harness): a
-/// streaming reader lowers the text straight into the raw manifest without
-/// materialising a JSON tree, then shares `lower` with [`import_value`].
+/// This is the one import path (the CLI's `--model` flag, the serve
+/// daemon's inline manifests, the bench harness): a streaming reader
+/// lowers the text straight into the raw manifest without materialising a
+/// JSON tree.
 ///
 /// # Errors
 ///
@@ -545,14 +463,18 @@ pub fn import_str(text: &str) -> Result<Import, IngestError> {
     lower(reader::read_manifest(text)?)
 }
 
-/// Imports a manifest from an already-parsed JSON value (the serve daemon's
-/// inline-manifest path).
+/// Imports a manifest from an already-parsed JSON value by serializing it
+/// and streaming the text through [`import_str`]. The vendored serializer
+/// round-trips every finite `f64` exactly, so the result is the one
+/// `import_str` gives for the text the value was parsed from.
 ///
 /// # Errors
 ///
-/// See [`import_str`].
+/// See [`import_str`]. A value with no JSON text — a non-finite number
+/// built in code — is an [`IngestError::Schema`].
 pub fn import_value(v: &Value) -> Result<Import, IngestError> {
-    lower(raw_from_value(v)?)
+    let text = serde_json::to_string(v).map_err(|e| schema(e.to_string()))?;
+    import_str(&text)
 }
 
 /// Checks the schema version and rejects mismatches without validating
@@ -575,86 +497,7 @@ pub(crate) fn check_version(n: f64) -> Result<(), IngestError> {
     Ok(())
 }
 
-/// Walks a parsed [`Value`] into the raw manifest.
-fn raw_from_value(v: &Value) -> Result<RawManifest<'_>, IngestError> {
-    let fields = as_object(v, "manifest")?;
-    check_version(as_f64(
-        require(fields, "schema_version", "manifest")?,
-        "manifest.schema_version",
-    )?)?;
-    let name = as_str(require(fields, "name", "manifest")?, "manifest.name")?;
-    let input = shape_from_value(require(fields, "input", "manifest")?, "manifest.input")?;
-    let nodes_v = as_array(require(fields, "nodes", "manifest")?, "manifest.nodes")?;
-
-    let mut nodes = Vec::with_capacity(nodes_v.len());
-    for (i, nv) in nodes_v.iter().enumerate() {
-        let nf = as_object(nv, &format!("node {i}"))?;
-        let op = Cow::Borrowed(as_str(
-            require(nf, "op", &format!("node {i}"))?,
-            &format!("node {i}.op"),
-        )?);
-        let mut attrs: Attrs<'_> = Vec::new();
-        if let Some(a) = get(nf, "attrs") {
-            for (k, av) in as_object(a, &format!("node {i}.attrs"))? {
-                match av {
-                    Value::Num(n) => attrs.push((Cow::Borrowed(k.as_str()), AttrVal::Num(*n))),
-                    Value::Str(s) => {
-                        attrs.push((Cow::Borrowed(k.as_str()), AttrVal::Str(Cow::Borrowed(s))));
-                    }
-                    // Arrays/objects/booleans/null are not attribute
-                    // material; the operator codec reports the attribute
-                    // as missing if it needed it.
-                    _ => {}
-                }
-            }
-        }
-        let sparsity = match get(nf, "sparsity") {
-            Some(Value::Null) | None => None,
-            Some(sv) => Some(as_f64(sv, &format!("node {i}.sparsity"))?),
-        };
-        let name = match get(nf, "name") {
-            Some(Value::Null) | None => None,
-            Some(nm) => Some(Cow::Borrowed(as_str(nm, &format!("node {i}.name"))?)),
-        };
-        let input = match get(nf, "input") {
-            Some(Value::Null) | None => None,
-            Some(iv) => Some(shape_from_value(iv, &format!("node {i}.input"))?),
-        };
-        nodes.push(RawNode {
-            name,
-            op,
-            attrs,
-            sparsity,
-            input,
-        });
-    }
-
-    let mut skip_edges = Vec::new();
-    if let Some(ev) = get(fields, "skip_edges") {
-        for (i, edge) in as_array(ev, "manifest.skip_edges")?.iter().enumerate() {
-            let pair = as_array(edge, &format!("skip_edges[{i}]"))?;
-            if pair.len() != 2 {
-                return Err(schema(format!(
-                    "skip_edges[{i}] must be a [from, to] pair, got {} elements",
-                    pair.len()
-                )));
-            }
-            let from = as_usize(&pair[0], &format!("skip_edges[{i}][0]"))?;
-            let to = as_usize(&pair[1], &format!("skip_edges[{i}][1]"))?;
-            skip_edges.push((from, to));
-        }
-    }
-
-    Ok(RawManifest {
-        name: Cow::Borrowed(name),
-        input,
-        nodes,
-        skip_edges,
-    })
-}
-
-/// Validates a raw manifest and lowers it into a [`Graph`] — the single
-/// back half both [`import_str`] and [`import_value`] share.
+/// Validates a raw manifest and lowers it into a [`Graph`].
 fn lower(raw: RawManifest<'_>) -> Result<Import, IngestError> {
     if raw.nodes.is_empty() {
         return Err(IngestError::Empty);
@@ -1224,11 +1067,11 @@ mod tests {
 
     #[test]
     fn streaming_and_value_frontends_agree() {
-        // The streaming reader (`import_str`) and the Value walker
-        // (`import_value`, the serve daemon's inline path) share `lower`,
-        // so only their JSON-to-raw front halves can drift. Pin them
-        // together: every zoo manifest and every malformed corpus entry
-        // must produce the same outcome through both.
+        // `import_value` serializes its tree and streams the text, so the
+        // only way it can drift from `import_str` is a lossy round trip
+        // through `Value` (number formatting, escapes, duplicate keys).
+        // Pin the round trip: every zoo manifest and every malformed
+        // corpus entry must produce the same outcome through both.
         let mut corpus: Vec<String> = zoo::all_models()
             .iter()
             .map(|(_, build)| export(&build()))
@@ -1280,6 +1123,55 @@ mod tests {
                 outcome_shape(&streamed),
                 outcome_shape(&walked),
                 "frontends disagree on {text:?}\n  streaming: {streamed:?}\n  value:     {walked:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn import_value_maps_an_unserializable_value_to_a_schema_error() {
+        let mut v: Value = serde_json::from_str(&tiny_manifest()).unwrap();
+        let Value::Object(fields) = &mut v else {
+            panic!("manifest parses to an object")
+        };
+        fields[0].1 = Value::Num(f64::NAN);
+        match import_value(&v).unwrap_err() {
+            IngestError::Schema(m) => assert!(m.contains("non-finite"), "{m}"),
+            other => panic!("expected Schema, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn member_span_finds_the_first_top_level_member() {
+        let text = r#" {"a": 1, "manifest": {"k": [1, "}"]}, "manifest": 2} "#;
+        let span = member_span(text, "manifest").unwrap().unwrap();
+        assert_eq!(&text[span], r#"{"k": [1, "}"]}"#);
+        assert_eq!(&text[member_span(text, "a").unwrap().unwrap()], "1");
+        // Nested members and string contents are not top-level members.
+        let nested = r#"{"x": {"manifest": 1}, "y": "\"manifest\": 2"}"#;
+        assert_eq!(member_span(nested, "manifest").unwrap(), None);
+        // An escaped key names the same member.
+        let escaped = r#"{"m\u0061nifest": null}"#;
+        let span = member_span(escaped, "manifest").unwrap().unwrap();
+        assert_eq!(&escaped[span], "null");
+    }
+
+    #[test]
+    fn member_span_validates_the_whole_document() {
+        for ok in ["[1]", "3", "{}", "null"] {
+            assert_eq!(member_span(ok, "manifest").unwrap(), None, "{ok}");
+        }
+        let deep = format!("{{\"a\": {}{}}}", "[".repeat(200), "]".repeat(200));
+        for bad in [
+            "",
+            "{",
+            r#"{"manifest": 1} x"#,
+            r#"{"manifest": 1, "b": tru}"#,
+            r#"{"manifest" 1}"#,
+            deep.as_str(),
+        ] {
+            assert!(
+                matches!(member_span(bad, "manifest"), Err(IngestError::Json(_))),
+                "{bad:?}"
             );
         }
     }

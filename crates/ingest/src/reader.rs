@@ -7,10 +7,9 @@
 //! than the entire budget. Here every unescaped string borrows from the
 //! input and numbers parse in place, in a single pass over the text.
 //!
-//! A single pass must still honour the error precedence the `Value`
-//! walker in `lib.rs` establishes (both frontends must agree on *which*
-//! manifests are accepted, even though the wording of structural messages
-//! may differ):
+//! It is the crate's only JSON frontend (`import_value` serializes its
+//! tree and comes through here too), and a single pass must still honour
+//! a fixed error precedence:
 //!
 //! 1. JSON malformation — including trailing junk, exactly like
 //!    `serde_json::from_str` — outranks everything. These abort the scan
@@ -31,18 +30,21 @@
 //! deeper than [`MAX_DEPTH`] levels is refused up front instead of
 //! recursing unboundedly — manifests are a few levels deep, and this
 //! reader handles untrusted input.
+//!
+//! [`member_span`] runs the same scan over an envelope document that
+//! carries a manifest as one member, so a caller can hand the manifest's
+//! bytes to `import_str` without parsing the envelope into a tree.
 
 use std::borrow::Cow;
+use std::ops::Range;
 
-use crate::{check_version, shape_from_parts, AttrVal, Attrs, IngestError, RawManifest, RawNode};
+use crate::{
+    check_version, schema, shape_from_parts, AttrVal, Attrs, IngestError, RawManifest, RawNode,
+};
 use powerlens_dnn::TensorShape;
 
 /// Nesting levels a manifest may use. Real manifests use about six.
 const MAX_DEPTH: usize = 128;
-
-fn schema(msg: impl Into<String>) -> IngestError {
-    IngestError::Schema(msg.into())
-}
 
 /// Reads manifest text into the raw form `lower` consumes.
 pub(crate) fn read_manifest(text: &str) -> Result<RawManifest<'_>, IngestError> {
@@ -121,6 +123,44 @@ pub(crate) fn read_manifest(text: &str) -> Result<RawManifest<'_>, IngestError> 
         nodes,
         skip_edges,
     })
+}
+
+/// Validates `text` as one JSON document and returns the byte range of the
+/// value of its top-level object's first `key` member.
+///
+/// `Ok(None)` means the document is valid but is not an object or has no
+/// such member. Later duplicates of `key` are validated and ignored: the
+/// first occurrence wins, as in `Value` field lookup. The scan uses the
+/// reader's grammar and depth limit, and allocates only to unescape
+/// strings written with escapes.
+///
+/// # Errors
+///
+/// [`IngestError::Json`] when `text` is not a single valid JSON document.
+pub fn member_span(text: &str, key: &str) -> Result<Option<Range<usize>>, IngestError> {
+    let mut s = Scan::new(text);
+    s.skip_ws();
+    if s.peek() != Some(b'{') {
+        s.skip_value(0)?;
+        s.finish()?;
+        return Ok(None);
+    }
+    s.pos += 1;
+    let mut span = None;
+    s.in_object(|s| {
+        let k = s.parse_string()?;
+        s.skip_ws();
+        s.expect(b':')?;
+        s.skip_ws();
+        let start = s.pos;
+        s.skip_value(1)?;
+        if span.is_none() && k == key {
+            span = Some(start..s.pos);
+        }
+        Ok(())
+    })?;
+    s.finish()?;
+    Ok(span)
 }
 
 struct Scan<'a> {
@@ -436,7 +476,7 @@ impl<'a> Scan<'a> {
     // the field's error context lazily so the happy path allocates nothing.
 
     /// A value that must be a string; anything else defers a schema error
-    /// naming `what`, matching the `Value` walker's message.
+    /// naming `what`.
     fn parse_typed_string(
         &mut self,
         what: impl FnOnce() -> String,
@@ -547,10 +587,9 @@ impl<'a> Scan<'a> {
                 }
             },
             (kind, _) => {
-                // `kind` before `dims`, mirroring the walker's `require`
-                // order. If the field was present but mistyped, its
-                // objection is already deferred and this one is dropped
-                // (first wins).
+                // `kind` is reported missing before `dims`. If the field
+                // was present but mistyped, its objection is already
+                // deferred and this one is dropped (first wins).
                 let missing = if kind.is_none() { "kind" } else { "dims" };
                 self.defer(schema(format!("{} is missing field `{missing}`", what())));
                 Ok(None)
@@ -657,8 +696,9 @@ impl<'a> Scan<'a> {
                                 attrs.push((k, AttrVal::Str(v)));
                             }
                             // Arrays/objects/booleans/null are not
-                            // attribute material — dropped, exactly as the
-                            // Value walker drops them.
+                            // attribute material — dropped; the operator
+                            // codec reports the attribute as missing if it
+                            // needed it.
                             _ => {
                                 s.skip_value(0)?;
                             }
@@ -707,8 +747,8 @@ impl<'a> Scan<'a> {
                 return Ok(());
             }
             s.pos += 1;
-            // Pair length outranks element typing, matching the walker:
-            // collect loosely first, then convert.
+            // Pair length outranks element typing: collect loosely
+            // first, then convert.
             let mut elems: Vec<Result<f64, &'static str>> = Vec::with_capacity(2);
             s.in_array(|s, _| {
                 elems.push(match s.peek() {

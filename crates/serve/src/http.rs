@@ -7,6 +7,7 @@
 //! concurrency story identical to its queue semantics (one queued item per
 //! connection).
 
+use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
@@ -26,13 +27,47 @@ pub struct Request {
     pub body: String,
 }
 
+/// Why [`read_request`] refused a body: its `Content-Length` exceeds
+/// [`MAX_BODY`]. Carried inside the returned `io::Error` so the daemon can
+/// answer `413` instead of a generic `400`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BodyTooLarge {
+    /// The `Content-Length` the client announced.
+    pub content_length: usize,
+}
+
+impl fmt::Display for BodyTooLarge {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "request body too large: Content-Length {} exceeds the {MAX_BODY}-byte limit",
+            self.content_length
+        )
+    }
+}
+
+impl std::error::Error for BodyTooLarge {}
+
+/// The status a [`read_request`] failure is answered with: `413` for a
+/// [`BodyTooLarge`] body, `400` for everything else.
+pub fn error_status(e: &io::Error) -> u16 {
+    match e.get_ref() {
+        Some(inner) if inner.is::<BodyTooLarge>() => 413,
+        _ => 400,
+    }
+}
+
 /// Reads one HTTP/1.1 request from `stream`.
+///
+/// The body is read in one `read_to_end` into a buffer sized from
+/// `Content-Length`, after whatever arrived with the head.
 ///
 /// # Errors
 ///
 /// Fails on malformed request lines, heads over [`MAX_HEAD`], bodies over
-/// [`MAX_BODY`], non-numeric `Content-Length`, or plain I/O errors
-/// (including read timeouts configured on the stream).
+/// [`MAX_BODY`] (a [`BodyTooLarge`] inside an `InvalidData` error),
+/// non-numeric `Content-Length`, a body cut short by the client, or plain
+/// I/O errors (including read timeouts configured on the stream).
 pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
     let mut buf: Vec<u8> = Vec::with_capacity(512);
     let mut chunk = [0u8; 1024];
@@ -75,27 +110,29 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
         }
     }
     if content_length > MAX_BODY {
-        return Err(bad_data("request body too large"));
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            BodyTooLarge { content_length },
+        ));
     }
 
-    let body_start = head_end + 4; // past "\r\n\r\n"
-    let mut body = buf[body_start.min(buf.len())..].to_vec();
-    while body.len() < content_length {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-body",
-            ));
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
+    let mut body = buf.split_off((head_end + 4).min(buf.len())); // past "\r\n\r\n"
     body.truncate(content_length);
+    let remaining = content_length - body.len();
+    body.reserve_exact(remaining);
+    stream.take(remaining as u64).read_to_end(&mut body)?;
+    if body.len() < content_length {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed mid-body",
+        ));
+    }
 
     Ok(Request {
         method: method.to_ascii_uppercase(),
         path: path.to_string(),
-        body: String::from_utf8_lossy(&body).into_owned(),
+        body: String::from_utf8(body)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()),
     })
 }
 
@@ -169,6 +206,7 @@ fn reason_phrase(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        413 => "Payload Too Large",
         429 => "Too Many Requests",
         500 => "Internal Server Error",
         503 => "Service Unavailable",
@@ -230,5 +268,20 @@ mod tests {
             .unwrap();
         let err = server.join().unwrap();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(error_status(&err), 413);
+    }
+
+    #[test]
+    fn invalid_utf8_bodies_are_read_lossily() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            read_request(&mut stream).unwrap()
+        });
+        let mut c = TcpStream::connect(addr).unwrap();
+        c.write_all(b"POST /plan HTTP/1.1\r\nContent-Length: 4\r\n\r\n{\xff}!")
+            .unwrap();
+        assert_eq!(server.join().unwrap().body, "{\u{fffd}}!");
     }
 }

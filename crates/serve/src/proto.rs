@@ -31,6 +31,10 @@ pub struct PlanRequest {
     /// PL7xx lint gate; mutually exclusive with `model` and `models`. The
     /// plan cache keys on the imported graph's content fingerprint, so two
     /// tenants posting the same manifest still get tenant-isolated entries.
+    ///
+    /// The daemon never fills this field: it hands the manifest's bytes
+    /// straight to the streaming importer and parses only the rest of the
+    /// body into this type.
     pub manifest: Option<Value>,
     /// Platform name (`agx`, `tx2`, `cloud`); daemon default when absent.
     pub platform: Option<String>,

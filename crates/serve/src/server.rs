@@ -18,7 +18,7 @@ use powerlens_platform::Platform;
 use powerlens_store::{CacheMode, LintCache, PlanStore};
 use serde::Serialize;
 
-use crate::http::{read_request, write_response, Request};
+use crate::http::{self, read_request, write_response, Request};
 use crate::ops;
 use crate::proto::{
     CompareRequest, CompareResponse, CompareRowBody, ErrorResponse, LintRequest, LintResponse,
@@ -349,13 +349,14 @@ impl Server {
                     shared.requests.fetch_add(1, Ordering::SeqCst);
                     obs::counter("serve.requests", 1);
                 }
-                Err(_) => {
-                    // Malformed or timed-out request; best-effort error.
+                Err(e) => {
+                    // Malformed, oversized or timed-out request; best-effort
+                    // error that says which.
                     let _ = json_response(
                         &mut stream,
-                        400,
+                        http::error_status(&e),
                         &ErrorResponse {
-                            error: "malformed request".to_string(),
+                            error: format!("malformed request: {e}"),
                         },
                     );
                 }
@@ -458,7 +459,7 @@ impl Server {
     }
 
     fn endpoint_plan(&self, stream: &mut TcpStream, body: &str, shared: &Shared) -> io::Result<()> {
-        let req: PlanRequest = match parse_body(body) {
+        let (req, manifest) = match split_plan_body(body) {
             Ok(r) => r,
             Err(resp) => return json_response(stream, 400, &resp),
         };
@@ -471,7 +472,7 @@ impl Server {
         let pl = ops::make_planner(&platform, batch, self.cfg.models.clone());
         let pressured = self.under_pressure(shared);
 
-        let graphs: Vec<Arc<Graph>> = if let Some(manifest) = &req.manifest {
+        let graphs: Vec<Arc<Graph>> = if let Some(manifest) = manifest {
             if req.model.is_some() || req.models.is_some() {
                 return json_response(
                     stream,
@@ -483,7 +484,7 @@ impl Server {
                 );
             }
             match import_manifest(manifest) {
-                Ok(g) => vec![Arc::new(g)],
+                Ok(import) => vec![Arc::new(import.graph)],
                 Err(e) => return json_response(stream, 400, &ErrorResponse { error: e }),
             }
         } else {
@@ -723,13 +724,40 @@ impl Server {
     }
 }
 
+/// Splits a `/plan` body into its envelope and the text of its inline
+/// manifest, without building a tree of the manifest.
+///
+/// One scan validates the whole body and finds the first top-level
+/// `manifest` member. The envelope is parsed from the body with that value
+/// replaced by `null`, so only a few dozen bytes reach the tree parser, and
+/// the manifest's own bytes go straight to the streaming importer. A
+/// `"manifest": null` is absent, as for every other optional field.
+fn split_plan_body(body: &str) -> Result<(PlanRequest, Option<&str>), ErrorResponse> {
+    let text = if body.trim().is_empty() { "{}" } else { body };
+    let span = powerlens_ingest::member_span(text, "manifest").map_err(|e| {
+        let reason = match e {
+            powerlens_ingest::IngestError::Json(m) => m,
+            other => other.to_string(),
+        };
+        ErrorResponse {
+            error: format!("bad request body: {reason}"),
+        }
+    })?;
+    let Some(span) = span else {
+        return Ok((parse_body(text)?, None));
+    };
+    let req = parse_body(&format!("{}null{}", &text[..span.start], &text[span.end..]))?;
+    let manifest = &text[span];
+    Ok((req, (manifest != "null").then_some(manifest)))
+}
+
 /// Lowers an inline manifest through the PL7xx lint gate. Error findings
 /// become the 400 message with their rule codes so API clients can fix the
 /// manifest without consulting daemon logs; warnings do not block.
-fn import_manifest(manifest: &serde::Value) -> Result<Graph, String> {
+fn import_manifest(manifest: &str) -> Result<powerlens_ingest::Import, String> {
     let config = powerlens_lint::LintConfig::default();
-    match powerlens_ingest::import_value(manifest) {
-        Ok(import) => Ok(import.graph),
+    match powerlens_ingest::import_str(manifest) {
+        Ok(import) => Ok(import),
         Err(e) => {
             let report = powerlens_lint::lint_import("inline manifest", e.issues(), &config);
             let findings: Vec<String> = report
@@ -864,6 +892,112 @@ mod tests {
             let fresh = build();
             assert_eq!(*shared, fresh, "{name}");
             assert_eq!(shared.fingerprint(), fresh.fingerprint(), "{name}");
+        }
+    }
+
+    const TINY: &str = r#"{"schema_version": 1, "name": "tiny",
+        "input": {"kind": "flat", "dims": [8]},
+        "nodes": [{"op": "linear", "name": "a}\"\\b",
+                   "attrs": {"in_features": 8, "out_features": 4}}]}"#;
+
+    fn split(body: &str) -> (PlanRequest, Option<&str>) {
+        split_plan_body(body).unwrap_or_else(|e| panic!("{body:?}: {}", e.error))
+    }
+
+    fn split_err(body: &str) -> String {
+        match split_plan_body(body) {
+            Ok(r) => panic!("{body:?} split into {r:?}"),
+            Err(e) => e.error,
+        }
+    }
+
+    #[test]
+    fn split_finds_the_manifest_in_any_member_position() {
+        for body in [
+            format!(r#"{{"manifest": {TINY}, "tenant": "t", "batch": 4}}"#),
+            format!(r#"{{"tenant": "t", "manifest": {TINY}, "batch": 4}}"#),
+            format!(r#"{{"tenant": "t", "batch": 4, "manifest": {TINY}}}"#),
+        ] {
+            let (req, manifest) = split(&body);
+            assert_eq!(manifest, Some(TINY), "{body}");
+            assert_eq!(req.tenant.as_deref(), Some("t"));
+            assert_eq!(req.batch, Some(4));
+            assert_eq!(req.manifest, None, "the envelope never holds the tree");
+            let graph = import_manifest(manifest.unwrap()).unwrap().graph;
+            assert_eq!(graph.layers()[0].name, "a}\"\\b");
+        }
+    }
+
+    #[test]
+    fn split_reads_an_escaped_key_and_keeps_the_first_duplicate() {
+        let body = format!(r#"{{"m\u0061nifest": {TINY}, "tenant": "t"}}"#);
+        assert_eq!(split(&body).1, Some(TINY));
+        let body = format!(r#"{{"manifest": {TINY}, "manifest": 3, "model": null}}"#);
+        assert_eq!(split(&body).1, Some(TINY));
+        let body = format!(r#"{{"manifest": null, "manifest": {TINY}}}"#);
+        assert_eq!(split(&body).1, None);
+    }
+
+    #[test]
+    fn split_treats_a_null_manifest_as_absent() {
+        let (req, manifest) = split(r#"{"manifest": null, "model": "alexnet"}"#);
+        assert_eq!(manifest, None);
+        assert_eq!(req.model.as_deref(), Some("alexnet"));
+    }
+
+    #[test]
+    fn split_of_an_empty_body_is_an_empty_request() {
+        for body in ["", "  \r\n\t"] {
+            let (req, manifest) = split(body);
+            assert_eq!(req, PlanRequest::default());
+            assert_eq!(manifest, None);
+        }
+    }
+
+    #[test]
+    fn split_rejects_malformed_json_anywhere_in_the_body() {
+        for body in [
+            r#"{"manifest": {"schema_version": 1, "name": }}"#.to_string(),
+            format!(r#"{{"manifest": {TINY}, "tenant": "t""#),
+            format!(r#"{{"manifest": {TINY}}} trailing"#),
+            r#"{"manifest": {"name": "unterminated}}"#.to_string(),
+        ] {
+            let err = split_err(&body);
+            assert!(err.starts_with("bad request body:"), "{body}: {err}");
+        }
+    }
+
+    #[test]
+    fn split_keeps_envelope_type_errors() {
+        let err = split_err(&format!(r#"{{"manifest": {TINY}, "batch": "eight"}}"#));
+        assert!(err.starts_with("bad request body:"), "{err}");
+        assert!(err.contains("batch"), "{err}");
+    }
+
+    #[test]
+    fn inline_manifests_import_like_their_text() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/models");
+        let mut texts: Vec<String> = zoo::all_models()
+            .iter()
+            .map(|(_, build)| powerlens_ingest::export(&build()))
+            .collect();
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "json") {
+                texts.push(std::fs::read_to_string(path).unwrap());
+            }
+        }
+        let random = powerlens_dnn::random::generate_batch(&Default::default(), 20260, 8);
+        texts.extend(random.iter().map(powerlens_ingest::export));
+        assert!(texts.len() >= 12 + 2 + 8);
+        for text in &texts {
+            let body = format!(r#"{{"manifest": {text}, "tenant": "t"}}"#);
+            let (req, manifest) = split(&body);
+            assert_eq!(req.tenant.as_deref(), Some("t"));
+            let inline = import_manifest(manifest.unwrap()).unwrap();
+            let direct = powerlens_ingest::import_str(text).unwrap();
+            assert_eq!(inline.graph.fingerprint(), direct.graph.fingerprint());
+            assert_eq!(inline.warnings, direct.warnings, "{}", direct.graph.name());
         }
     }
 

@@ -1,13 +1,14 @@
 //! Drives a live daemon over real TCP sockets: concurrent mixed traffic,
 //! cache warm-up across requests, zoo graphs resolved once per daemon,
-//! overload shedding, and clean shutdown.
+//! bodies that arrive slowly, cut short or too large, overload shedding,
+//! and clean shutdown.
 //!
 //! The obs registry is process-global and shared across parallel tests,
 //! so all counter assertions here are on *deltas* between two `/metrics`
 //! scrapes, never on absolute values.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -226,6 +227,113 @@ fn inline_manifests_plan_through_the_ingest_gate() {
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("not both"), "{body}");
 
+    let (status, _) = request(&addr, "POST", "/shutdown", "").unwrap();
+    assert_eq!(status, 200);
+    handle.join().unwrap();
+}
+
+/// Sends `head` and then `body` in `piece`-byte writes with a short pause
+/// between them, and returns the raw reply.
+fn send_in_pieces(addr: &str, head: &str, body: &[u8], piece: usize) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(head.as_bytes()).unwrap();
+    for part in body.chunks(piece) {
+        stream.write_all(part).unwrap();
+        thread::sleep(Duration::from_millis(2));
+    }
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).unwrap();
+    reply
+}
+
+#[test]
+fn slow_and_truncated_bodies_are_read_to_the_end_or_refused() {
+    let (addr, handle) = spawn_daemon(ServeConfig {
+        workers: 1,
+        batch: 4,
+        ..ServeConfig::default()
+    });
+
+    // densenet201's manifest (~113 kB) trickles in as 4 KiB writes.
+    let exported = powerlens_ingest::export(&zoo::by_name("densenet201").unwrap());
+    let body = format!(r#"{{"tenant": "trickle", "manifest": {exported}}}"#);
+    assert!(body.len() > 100_000, "{}", body.len());
+    let head = format!(
+        "POST /plan HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    );
+    let reply = send_in_pieces(&addr, &head, body.as_bytes(), 4096);
+    let (status, json) = reply.split_once("\r\n\r\n").unwrap();
+    assert!(status.starts_with("HTTP/1.1 200"), "{reply}");
+    let v: Value = serde_json::from_str(json).unwrap();
+    assert_eq!(field(&v, "model"), &Value::Str("densenet201".into()));
+
+    // A body cut short: the client announces more bytes than it sends and
+    // then closes its half. The daemon answers or closes, never hangs.
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .write_all(b"POST /plan HTTP/1.1\r\nContent-Length: 500\r\n\r\n{\"model\": ")
+        .unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut reply = String::new();
+    stream
+        .read_to_string(&mut reply)
+        .expect("the daemon must answer or close within the timeout");
+    assert!(
+        reply.is_empty() || reply.starts_with("HTTP/1.1 400"),
+        "{reply}"
+    );
+
+    let (status, body) = request(&addr, "POST", "/plan", r#"{"model": "alexnet"}"#).unwrap();
+    assert_eq!(status, 200, "{body}");
+    let (status, _) = request(&addr, "POST", "/shutdown", "").unwrap();
+    assert_eq!(status, 200);
+    handle.join().unwrap();
+}
+
+#[test]
+fn oversized_bodies_get_413_with_the_limit() {
+    let (addr, handle) = spawn_daemon(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .write_all(b"POST /plan HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n")
+        .unwrap();
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).unwrap();
+    assert!(
+        reply.starts_with("HTTP/1.1 413 Payload Too Large"),
+        "{reply}"
+    );
+    let (_, json) = reply.split_once("\r\n\r\n").unwrap();
+    let v: Value = serde_json::from_str(json).unwrap();
+    let Value::Str(error) = field(&v, "error") else {
+        panic!("error must be a string: {json}")
+    };
+    assert!(error.contains("2000000"), "{error}");
+    assert!(
+        error.contains(&powerlens_serve::http::MAX_BODY.to_string()),
+        "{error}"
+    );
+
+    // A 400 says what was wrong with the request too.
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .write_all(b"POST /plan HTTP/1.1\r\nContent-Length: lots\r\n\r\n")
+        .unwrap();
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).unwrap();
+    assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
+    assert!(reply.contains("bad content-length"), "{reply}");
+
+    let (status, body) = request(&addr, "GET", "/healthz", "").unwrap();
+    assert_eq!(status, 200, "{body}");
     let (status, _) = request(&addr, "POST", "/shutdown", "").unwrap();
     assert_eq!(status, 200);
     handle.join().unwrap();

@@ -100,6 +100,16 @@ case "$plan" in
     *'"points"'*) ;;
     *) serve_fail "plan response missing points: $plan" ;;
 esac
+# The inline-manifest path: the body carries an external model, whose
+# bytes the daemon hands straight to the streaming importer.
+manifest_plan=$({ printf '{"tenant": "smoke", "manifest": '
+    cat examples/models/tiny_cnn.json
+    printf '}'; } | curl -sf -X POST "http://$addr/plan" --data-binary @-) \
+    || serve_fail "POST /plan with an inline manifest failed"
+case "$manifest_plan" in
+    *'"points"'*) ;;
+    *) serve_fail "inline-manifest plan response missing points: $manifest_plan" ;;
+esac
 metrics=$(curl -sf "http://$addr/metrics") || serve_fail "GET /metrics failed"
 case "$metrics" in
     *'serve.requests'*) ;;
@@ -109,7 +119,7 @@ curl -sf -X POST "http://$addr/shutdown" > /dev/null \
     || serve_fail "POST /shutdown failed"
 wait "$serve_pid" || serve_fail "daemon exited non-zero"
 rm -f "$serve_log"
-echo "serve smoke: plan + metrics + shutdown ok on $addr"
+echo "serve smoke: plan + inline manifest + metrics + shutdown ok on $addr"
 run cargo bench --no-run
 RUSTDOCFLAGS="-D warnings"
 export RUSTDOCFLAGS
