@@ -1,9 +1,7 @@
 //! Criterion micro-benchmarks for the hybrid governor: what plain plan
 //! replay costs on a clean engine, and what the same run costs with the
-//! hybrid drift detector threaded through it — first disabled (the
-//! bit-identity configuration), then enabled with default thresholds (the
-//! detector reads every telemetry window but, with nothing drifting,
-//! never escalates).
+//! hybrid drift detector threaded through it (the detector reads every
+//! telemetry window but, with nothing drifting, never escalates).
 //!
 //! `scripts/bench.sh` derives the `hybrid_overhead` metric from the
 //! detector-on minus plan-replay delta, normalized to nanoseconds per
@@ -17,7 +15,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use powerlens::{PlanController, PowerLens, PowerLensConfig};
 use powerlens_dnn::zoo;
-use powerlens_governors::{HybridConfig, HybridGovernor};
+use powerlens_governors::HybridGovernor;
 use powerlens_platform::Platform;
 use powerlens_sim::Engine;
 use std::hint::black_box;
@@ -46,20 +44,9 @@ fn bench_hybrid_overhead(c: &mut Criterion) {
         })
     });
 
-    let off = HybridConfig {
-        enabled: false,
-        ..HybridConfig::default()
-    };
-    group.bench_function("engine_detector_off_alexnet", |b| {
-        b.iter(|| {
-            let mut ctl = HybridGovernor::new(&p, plan.clone(), BATCH, off.clone());
-            black_box(engine.run(&g, &mut ctl, IMAGES))
-        })
-    });
-
     group.bench_function("engine_detector_on_alexnet", |b| {
         b.iter(|| {
-            let mut ctl = HybridGovernor::new(&p, plan.clone(), BATCH, HybridConfig::default());
+            let mut ctl = HybridGovernor::new(&p, plan.clone(), BATCH);
             black_box(engine.run(&g, &mut ctl, IMAGES))
         })
     });

@@ -10,7 +10,7 @@
 //!
 //! 1. **plan replay** while observation matches prediction,
 //! 2. **nudge** the drifting block's level by one step within the
-//!    frequency table (bounded by [`HybridConfig::max_nudge`]). Nudges are
+//!    frequency table (bounded by [`MAX_NUDGE`]). Nudges are
 //!    *model-guided and measurement-verified*: a step is only taken when
 //!    the platform model predicts the neighboring level lowers the
 //!    block's energy (so a drift the frequency axis cannot fix — e.g. a
@@ -25,8 +25,10 @@
 //!    composes around this governor exactly as it does around plain plan
 //!    replay (plan → nudge → re-plan → BiM).
 //!
-//! **Differential discipline.** With the detector disabled
-//! ([`HybridConfig::enabled`] false) or zero injected drift, the governor
+//! The ladder's thresholds and budgets are the module constants below;
+//! every deployment runs the same values.
+//!
+//! **Differential discipline.** With zero injected drift the governor
 //! issues byte-for-byte the same frequency requests as
 //! `sim::PlanController`: the detector only *reads* telemetry, predictions
 //! are computed with the exact platform calls the engine itself uses (so a
@@ -45,46 +47,21 @@ use powerlens_sim::{Controller, FreqRequest};
 /// `store`.
 pub type ReplanHook<'p> = Box<dyn FnMut(&Graph, u64) -> Option<InstrumentationPlan> + 'p>;
 
-/// Tunables of the drift detector and the escalation ladder.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HybridConfig {
-    /// Master switch. When false the governor is bit-identical to plain
-    /// plan replay: no telemetry reads, no nudges, no re-plans.
-    pub enabled: bool,
-    /// Maximum per-block level offset a sequence of nudges may accumulate.
-    pub max_nudge: usize,
-    /// Relative EWMA deviation (|ewma − 1|) that triggers a nudge.
-    pub nudge_threshold: f64,
-    /// Relative EWMA deviation that triggers a re-plan attempt.
-    pub replan_threshold: f64,
-    /// EWMA smoothing factor in `(0, 1]` (1 = no smoothing).
-    pub ewma_alpha: f64,
-    /// Token-bucket refill rate: re-plans per simulated second.
-    pub replan_rate: f64,
-    /// Token-bucket capacity: re-plans allowed back-to-back.
-    pub replan_burst: f64,
-    /// Slack added around the statically-possible busy-utilization band
-    /// (the PL5xx platform envelopes) before it counts as drift.
-    pub envelope_margin: f64,
-}
-
-impl Default for HybridConfig {
-    /// Detector on; one-step nudges up to 3 levels, 10% nudge / 25%
-    /// re-plan thresholds, light smoothing, one re-plan per 5 simulated
-    /// seconds with a burst of 1, 0.25 envelope margin.
-    fn default() -> Self {
-        HybridConfig {
-            enabled: true,
-            max_nudge: 3,
-            nudge_threshold: 0.10,
-            replan_threshold: 0.25,
-            ewma_alpha: 0.5,
-            replan_rate: 0.2,
-            replan_burst: 1.0,
-            envelope_margin: 0.25,
-        }
-    }
-}
+/// Maximum per-block level offset a sequence of nudges may accumulate.
+const MAX_NUDGE: i64 = 3;
+/// Relative EWMA deviation (|ewma − 1|) that triggers a nudge.
+const NUDGE_THRESHOLD: f64 = 0.10;
+/// Relative EWMA deviation that triggers a re-plan attempt.
+const REPLAN_THRESHOLD: f64 = 0.25;
+/// EWMA smoothing factor in `(0, 1]` (1 = no smoothing).
+const EWMA_ALPHA: f64 = 0.5;
+/// Token-bucket refill rate: re-plans per simulated second.
+pub const REPLAN_RATE: f64 = 0.2;
+/// Token-bucket capacity: re-plans allowed back-to-back.
+pub const REPLAN_BURST: f64 = 1.0;
+/// Slack added around the statically-possible busy-utilization band
+/// (the PL5xx platform envelopes) before it counts as drift.
+const ENVELOPE_MARGIN: f64 = 0.25;
 
 /// Counters describing what the hybrid ladder did during a run. Mirrored
 /// into the `hybrid.*` obs counters as they increment.
@@ -113,7 +90,6 @@ struct WindowPrediction {
 pub struct HybridGovernor<'p> {
     platform: &'p Platform,
     batch: usize,
-    cfg: HybridConfig,
     plan: InstrumentationPlan,
     name: String,
     replan: Option<ReplanHook<'p>>,
@@ -181,12 +157,7 @@ pub struct HybridGovernor<'p> {
 
 impl<'p> HybridGovernor<'p> {
     /// Wraps `plan` for execution on `platform` at `batch`.
-    pub fn new(
-        platform: &'p Platform,
-        plan: InstrumentationPlan,
-        batch: usize,
-        cfg: HybridConfig,
-    ) -> Self {
+    pub fn new(platform: &'p Platform, plan: InstrumentationPlan, batch: usize) -> Self {
         let num_points = plan.points().len();
         HybridGovernor {
             platform,
@@ -209,10 +180,9 @@ impl<'p> HybridGovernor<'p> {
             rearm: true,
             probe: None,
             pinned: vec![false; num_points],
-            tokens: cfg.replan_burst,
+            tokens: REPLAN_BURST,
             last_refill: 0.0,
             epoch: 0,
-            cfg,
             stats: HybridStats::default(),
         }
     }
@@ -237,11 +207,6 @@ impl<'p> HybridGovernor<'p> {
     /// hook swaps it).
     pub fn plan(&self) -> &InstrumentationPlan {
         &self.plan
-    }
-
-    /// The detector configuration.
-    pub fn config(&self) -> &HybridConfig {
-        &self.cfg
     }
 
     /// Effective GPU target of block `idx`: the plan level plus the
@@ -270,12 +235,11 @@ impl<'p> HybridGovernor<'p> {
         self.window_memo = vec![None; self.plan.points().len()];
     }
 
-    /// Nudges `block` by one level in `dir`, bounded by `max_nudge` and the
+    /// Nudges `block` by one level in `dir`, bounded by [`MAX_NUDGE`] and the
     /// frequency table. Returns whether the offset actually moved (a move
     /// is always by exactly `dir`, so a probe revert can undo it).
     fn nudge(&mut self, block: usize, dir: i64) -> bool {
-        let bound = self.cfg.max_nudge as i64;
-        let next = (self.offsets[block] + dir).clamp(-bound, bound);
+        let next = (self.offsets[block] + dir).clamp(-MAX_NUDGE, MAX_NUDGE);
         if next != self.offsets[block] {
             self.offsets[block] = next;
             self.stats.nudges += 1;
@@ -329,8 +293,8 @@ impl<'p> HybridGovernor<'p> {
     /// Token-bucket re-plan attempt. Grants reset the ladder state and call
     /// the hook under a fresh drift epoch; denials only count.
     fn try_replan(&mut self, graph: &Graph, now: f64) {
-        let refill = (now - self.last_refill).max(0.0) * self.cfg.replan_rate;
-        self.tokens = (self.tokens + refill).min(self.cfg.replan_burst);
+        let refill = (now - self.last_refill).max(0.0) * REPLAN_RATE;
+        self.tokens = (self.tokens + refill).min(REPLAN_BURST);
         self.last_refill = now;
         if self.tokens < 1.0 {
             self.stats.replan_throttled += 1;
@@ -404,7 +368,7 @@ impl<'p> HybridGovernor<'p> {
         // feeding the EWMA a biased layer mix.
         if matched > 0 && obs_t >= 0.5 * self.pred.time {
             let ratio = (obs_e / obs_t) / (self.pred.energy / self.pred.time);
-            self.ewma = self.cfg.ewma_alpha * ratio + (1.0 - self.cfg.ewma_alpha) * self.ewma;
+            self.ewma = EWMA_ALPHA * ratio + (1.0 - EWMA_ALPHA) * self.ewma;
             let dev = self.ewma - 1.0;
             // Resolve an open nudge experiment on this block: windows of
             // one block cover the same layers once per batch, so their
@@ -422,7 +386,7 @@ impl<'p> HybridGovernor<'p> {
                     }
                 }
             }
-            if dev.abs() > self.cfg.nudge_threshold {
+            if dev.abs() > NUDGE_THRESHOLD {
                 drift = true;
                 if let Some(b) = block {
                     if !self.pinned[b] && self.probe.is_none() {
@@ -438,7 +402,7 @@ impl<'p> HybridGovernor<'p> {
                 }
             } else {
                 // Power is on model; check the statically-possible busy
-                // band (the PL5xx envelopes) with the configured margin.
+                // band (the PL5xx envelopes) widened by the margin.
                 // The predicted busy always lies inside the band, so a
                 // window whose observation tracks its prediction within
                 // the margin cannot be outside the widened band — the
@@ -447,11 +411,11 @@ impl<'p> HybridGovernor<'p> {
                 // never does.
                 let busy = obs_busy / obs_t;
                 let pred_busy = self.pred.busy / self.pred.time;
-                let dir = if (busy - pred_busy).abs() > self.cfg.envelope_margin {
+                let dir = if (busy - pred_busy).abs() > ENVELOPE_MARGIN {
                     let (band_lo, band_hi) = self.window_band(graph);
-                    if busy > band_hi + self.cfg.envelope_margin {
+                    if busy > band_hi + ENVELOPE_MARGIN {
                         Some(1)
-                    } else if busy < band_lo - self.cfg.envelope_margin {
+                    } else if busy < band_lo - ENVELOPE_MARGIN {
                         Some(-1)
                     } else {
                         None
@@ -468,7 +432,7 @@ impl<'p> HybridGovernor<'p> {
                     }
                 }
             }
-            if dev.abs() > self.cfg.replan_threshold {
+            if dev.abs() > REPLAN_THRESHOLD {
                 self.try_replan(graph, telemetry.now());
             }
         }
@@ -598,15 +562,13 @@ impl Controller for HybridGovernor<'_> {
         self.pred_cache.clear();
         self.env_cache.clear();
         self.window_memo.iter_mut().for_each(|m| *m = None);
-        if self.cfg.enabled {
-            if let Some(hook) = self.replan.as_mut() {
-                // Task-boundary plan swap (mixed multi-tenant flows): a
-                // cache lookup under the current epoch, not a drift
-                // re-plan — the token bucket is not consulted.
-                if let Some(plan) = hook(graph, self.epoch) {
-                    if plan != self.plan {
-                        self.install_plan(plan);
-                    }
+        if let Some(hook) = self.replan.as_mut() {
+            // Task-boundary plan swap (mixed multi-tenant flows): a cache
+            // lookup under the current epoch, not a drift re-plan — the
+            // token bucket is not consulted.
+            if let Some(plan) = hook(graph, self.epoch) {
+                if plan != self.plan {
+                    self.install_plan(plan);
                 }
             }
         }
@@ -620,20 +582,17 @@ impl Controller for HybridGovernor<'_> {
         gpu_level: FreqLevel,
         cpu_level: FreqLevel,
     ) -> FreqRequest {
-        let enabled = self.cfg.enabled;
-        if enabled && self.rearm {
+        if self.rearm {
             self.rearm = false;
             self.reset_window(telemetry);
         }
         let point = self.plan.points().iter().position(|p| p.layer == layer);
-        if enabled {
-            if let Some(idx) = point {
-                // Block boundary: judge the block that just finished, then
-                // open the window for the one about to run.
-                self.evaluate(graph, telemetry);
-                self.reset_window(telemetry);
-                self.active_block = Some(idx);
-            }
+        if let Some(idx) = point {
+            // Block boundary: judge the block that just finished, then open
+            // the window for the one about to run.
+            self.evaluate(graph, telemetry);
+            self.reset_window(telemetry);
+            self.active_block = Some(idx);
         }
         let mut req = FreqRequest::none();
         if cpu_level != self.plan.cpu_level() {
@@ -651,7 +610,7 @@ impl Controller for HybridGovernor<'_> {
                 }
                 Some(t)
             }
-            (None, Some(_)) if enabled => {
+            (None, Some(_)) => {
                 // Mid-block: a mismatch against the level requested at the
                 // block's entry means an earlier switch failed or was
                 // clamped; keep re-requesting so one failed boundary
@@ -668,10 +627,7 @@ impl Controller for HybridGovernor<'_> {
             }
             _ => None,
         };
-        if enabled {
-            let expected_gpu = target.unwrap_or(gpu_level);
-            self.predict_layer(graph, layer, expected_gpu);
-        }
+        self.predict_layer(graph, layer, target.unwrap_or(gpu_level));
         req
     }
 }
@@ -704,26 +660,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_detector_matches_plan_controller_exactly() {
-        let p = agx();
-        let g = zoo::alexnet();
-        let plan = two_block_plan(&p, &g);
-        let e = Engine::new(&p).with_batch(4);
-        let mut plain = PlanController::new(plan.clone());
-        let base = e.run(&g, &mut plain, 12);
-        let cfg = HybridConfig {
-            enabled: false,
-            ..HybridConfig::default()
-        };
-        let mut hybrid = HybridGovernor::new(&p, plan, 4, cfg);
-        let r = e.run(&g, &mut hybrid, 12);
-        assert_eq!(base.total_time.to_bits(), r.total_time.to_bits());
-        assert_eq!(base.total_energy.to_bits(), r.total_energy.to_bits());
-        assert_eq!(base.num_gpu_switches, r.num_gpu_switches);
-        assert_eq!(hybrid.stats(), HybridStats::default());
-    }
-
-    #[test]
     fn clean_run_with_detector_on_never_drifts() {
         let p = agx();
         let g = zoo::resnet34();
@@ -731,7 +667,7 @@ mod tests {
         let e = Engine::new(&p).with_batch(8);
         let mut plain = PlanController::new(plan.clone());
         let base = e.run(&g, &mut plain, 16);
-        let mut hybrid = HybridGovernor::new(&p, plan, 8, HybridConfig::default());
+        let mut hybrid = HybridGovernor::new(&p, plan, 8);
         let r = e.run(&g, &mut hybrid, 16);
         assert_eq!(base.total_energy.to_bits(), r.total_energy.to_bits());
         assert_eq!(base.total_time.to_bits(), r.total_time.to_bits());
@@ -742,60 +678,50 @@ mod tests {
         assert!((hybrid.ewma - 1.0).abs() == 0.0, "clean ratio is exactly 1");
     }
 
+    fn one_block_plan(p: &Platform, gpu_level: FreqLevel) -> InstrumentationPlan {
+        InstrumentationPlan::new(
+            vec![InstrumentationPoint {
+                layer: 0,
+                gpu_level,
+            }],
+            p.cpu_table().max_level(),
+        )
+    }
+
     #[test]
     fn nudge_targets_stay_inside_the_table() {
         let p = agx();
-        let g = zoo::alexnet();
-        let plan = InstrumentationPlan::new(
-            vec![InstrumentationPoint {
-                layer: 0,
-                gpu_level: p.gpu_table().max_level(),
-            }],
-            p.cpu_table().max_level(),
-        );
-        let mut h = HybridGovernor::new(
-            &p,
-            plan,
-            1,
-            HybridConfig {
-                max_nudge: 100,
-                ..HybridConfig::default()
-            },
-        );
-        let _ = g;
+        let top = p.gpu_table().max_level();
+        let mut h = HybridGovernor::new(&p, one_block_plan(&p, top), 1);
         for _ in 0..200 {
             h.nudge(0, 1);
         }
-        assert!(h.block_target(0) <= p.gpu_table().max_level());
+        assert_eq!(h.block_target(0), top, "clamped at the table top");
+        let mut h = HybridGovernor::new(&p, one_block_plan(&p, 1), 1);
         for _ in 0..500 {
             h.nudge(0, -1);
         }
         assert_eq!(h.block_target(0), 0, "clamped at the table floor");
+        assert_eq!(h.offsets[0], -MAX_NUDGE, "offset bounded by MAX_NUDGE");
     }
 
     #[test]
     fn token_bucket_bounds_replans() {
         let p = agx();
         let g = zoo::alexnet();
-        let plan = two_block_plan(&p, &g);
-        let cfg = HybridConfig {
-            replan_rate: 1.0,
-            replan_burst: 2.0,
-            ..HybridConfig::default()
-        };
-        let mut h = HybridGovernor::new(&p, plan, 1, cfg);
-        // Ten attempts at t=0: only the burst (2) may pass.
+        let mut h = HybridGovernor::new(&p, two_block_plan(&p, &g), 1);
+        // Ten attempts at t=0: only the burst (1) may pass.
         for _ in 0..10 {
             h.try_replan(&g, 0.0);
         }
-        assert_eq!(h.stats().replans, 2);
-        assert_eq!(h.stats().replan_throttled, 8);
-        // Three simulated seconds refill at 1/s, capped by the burst of 2.
+        assert_eq!(h.stats().replans, 1);
+        assert_eq!(h.stats().replan_throttled, 9);
+        // Ten simulated seconds refill at 0.2/s, capped by the burst of 1.
         for _ in 0..10 {
-            h.try_replan(&g, 3.0);
+            h.try_replan(&g, 10.0);
         }
-        assert_eq!(h.stats().replans, 4);
-        assert_eq!(h.epoch(), 4, "every grant advances the drift epoch");
+        assert_eq!(h.stats().replans, 2);
+        assert_eq!(h.epoch(), 2, "every grant advances the drift epoch");
     }
 
     #[test]
@@ -813,12 +739,10 @@ mod tests {
         let mut seen = Vec::new();
         {
             let hook_plan = swapped.clone();
-            let mut h = HybridGovernor::new(&p, plan, 1, HybridConfig::default()).with_replan_hook(
-                Box::new(|_, epoch| {
-                    seen.push(epoch);
-                    Some(hook_plan.clone())
-                }),
-            );
+            let mut h = HybridGovernor::new(&p, plan, 1).with_replan_hook(Box::new(|_, epoch| {
+                seen.push(epoch);
+                Some(hook_plan.clone())
+            }));
             h.try_replan(&g, 0.0);
             assert_eq!(h.plan(), &swapped);
             assert_eq!(h.offsets.len(), 1, "offsets resized to the new plan");

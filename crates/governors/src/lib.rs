@@ -44,4 +44,4 @@ pub mod oracle;
 
 pub use bim::Bim;
 pub use fpg::{FpgCg, FpgG};
-pub use hybrid::{HybridConfig, HybridGovernor, HybridStats, ReplanHook};
+pub use hybrid::{HybridGovernor, HybridStats, ReplanHook, REPLAN_BURST, REPLAN_RATE};

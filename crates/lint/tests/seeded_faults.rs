@@ -6,29 +6,13 @@ use powerlens_dnn::{zoo, Graph, OpKind, TensorShape};
 use powerlens_faults::{FaultPlan, MAX_RETRY_BUDGET};
 use powerlens_lint::{
     all_rules, lint_cached_plan, lint_dataflow, lint_distance_cache, lint_fault_plan, lint_graph,
-    lint_hybrid, lint_import, lint_plan, lint_view, platform_signature, render, to_sarif,
-    CachedPlanContext, DataflowContext, Format, HybridContext, ImportIssue, LintConfig, LintReport,
-    Pack, PlanContext, Severity,
+    lint_import, lint_plan, lint_view, platform_signature, render, to_sarif, CachedPlanContext,
+    DataflowContext, Format, ImportIssue, LintConfig, LintReport, Pack, PlanContext, Severity,
 };
 use powerlens_platform::{InstrumentationPlan, InstrumentationPoint, Platform};
 
 fn point(layer: usize, gpu_level: usize) -> InstrumentationPoint {
     InstrumentationPoint { layer, gpu_level }
-}
-
-/// A hybrid-governor context at the defaults; seeded faults override fields.
-fn hybrid_ctx<'a>(plan: &'a InstrumentationPlan, platform: &'a Platform) -> HybridContext<'a> {
-    HybridContext {
-        plan,
-        platform: Some(platform),
-        max_nudge: 3,
-        replan_rate: 0.2,
-        replan_burst: 1.0,
-        ewma_alpha: 0.5,
-        nudge_threshold: 0.10,
-        replan_threshold: 0.25,
-        envelope_margin: 0.25,
-    }
 }
 
 /// Injects the fault that should trigger `code` and returns the report.
@@ -278,21 +262,6 @@ fn seed_fault(code: &str) -> LintReport {
             Some(&agx),
             &config,
         ),
-        // ---- hybrid faults ----
-        "PL601" => lint_hybrid(
-            &HybridContext {
-                max_nudge: agx.gpu_levels(),
-                ..hybrid_ctx(&InstrumentationPlan::new(vec![point(0, 3)], 0), &agx)
-            },
-            &config,
-        ),
-        "PL602" => lint_hybrid(
-            &HybridContext {
-                replan_rate: 0.0,
-                ..hybrid_ctx(&InstrumentationPlan::new(vec![point(0, 3)], 0), &agx)
-            },
-            &config,
-        ),
         // ---- ingest faults ----
         "PL701" => lint_import(
             "manifest",
@@ -406,7 +375,6 @@ fn catalog_spans_all_packs_with_enough_rules() {
     assert!(rules.iter().filter(|r| r.pack == Pack::Store).count() >= 2);
     assert!(rules.iter().filter(|r| r.pack == Pack::Faults).count() >= 6);
     assert!(rules.iter().filter(|r| r.pack == Pack::Dataflow).count() >= 8);
-    assert!(rules.iter().filter(|r| r.pack == Pack::Hybrid).count() >= 3);
     assert!(rules.iter().filter(|r| r.pack == Pack::Ingest).count() >= 6);
 }
 

@@ -9,7 +9,7 @@
 //! * **explicit lane structure** — the hot loops are written as
 //!   fixed-width [`LANES`]-wide chunks with unrolled accumulators and a
 //!   scalar remainder, the shape a `std::simd` or arch-intrinsic backend
-//!   drops straight into (see [`Kernel`]);
+//!   drops straight into;
 //! * **no zero-skip branches** — dense data makes the branch nearly always
 //!   false, and mispredictions cost more than the multiply they save.
 //!
@@ -18,19 +18,18 @@
 //! The matrix kernels ([`gemm`], [`gemm_nt_bias`], [`gemm_tn_acc`]) lane-chunk
 //! the *output* (`j`) dimension only: every output element still consumes its
 //! reduction index `k` in plain ascending, left-associated order, so their
-//! results are bit-identical to the naive loops regardless of backend — the
+//! results are bit-identical to the naive loops — the
 //! `blocked ≡ naive` pins stay exact, and batched MLP passes stay bit-identical
 //! to per-sample ones. The *reduction* kernels ([`dot`], [`squared_distance`],
 //! and [`gemm_nt`]/[`matvec`] which are built on `dot`) split the sum across
 //! [`LANES`] independent accumulators; that re-association changes the
 //! rounding, so their equivalence tests are tolerance-pinned instead
-//! (`crates/numeric/tests/kernel_tolerance.rs`).
+//! (`crates/numeric/tests/kernel_tolerance.rs`) against the serial
+//! references [`dot_scalar`] and [`squared_distance_scalar`].
 //!
 //! All kernels panic (via `debug_assert!` on the hot path, argument asserts
 //! at the `Matrix` layer) rather than silently reading out of bounds; the
 //! slice indexing itself is bounds-checked in release builds.
-
-use std::sync::OnceLock;
 
 /// Cache-blocking depth for the `k` dimension of [`gemm`]. A 128-row panel
 /// of `B` (128 x n doubles) stays resident in L1/L2 while the panel is
@@ -41,49 +40,6 @@ pub const KC: usize = 128;
 /// Fixed lane width of the chunked kernels: four `f64`s, one 256-bit
 /// vector register on AVX2-class hardware (two 128-bit ops on NEON).
 pub const LANES: usize = 4;
-
-/// Reduction-kernel backend, selected once per process.
-///
-/// Only the kernels whose result *depends* on association order dispatch on
-/// this ([`dot`], [`squared_distance`] and everything built on them); the
-/// matrix kernels produce identical bits under either backend, so they always
-/// run their lane-chunked form. A `std::simd` or arch-intrinsic backend slots
-/// in as a new variant plus one match arm per dispatching kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kernel {
-    /// Serial ascending-index reference: one accumulator, one FP dependency
-    /// chain. Kept as the ground truth the lane kernels are pinned against.
-    Scalar,
-    /// Portable lane form: [`LANES`] independent accumulators over
-    /// fixed-width chunks, scalar tail, pairwise final reduction.
-    Lanes,
-}
-
-impl Kernel {
-    /// Stable lowercase name (`scalar` / `lanes`), as accepted by the
-    /// `POWERLENS_KERNEL` environment variable.
-    pub fn name(self) -> &'static str {
-        match self {
-            Kernel::Scalar => "scalar",
-            Kernel::Lanes => "lanes",
-        }
-    }
-}
-
-static ACTIVE_KERNEL: OnceLock<Kernel> = OnceLock::new();
-
-/// The process-wide reduction backend: `Lanes` unless the environment
-/// variable `POWERLENS_KERNEL=scalar` asks for the serial reference
-/// (useful when bisecting a numeric difference down to re-association).
-///
-/// Resolved once on first use and latched for the lifetime of the process,
-/// so a sweep never mixes backends mid-run.
-pub fn active_kernel() -> Kernel {
-    *ACTIVE_KERNEL.get_or_init(|| match std::env::var("POWERLENS_KERNEL") {
-        Ok(v) if v.eq_ignore_ascii_case("scalar") => Kernel::Scalar,
-        _ => Kernel::Lanes,
-    })
-}
 
 /// Splits equal-length slices into their lane-aligned heads and scalar
 /// tails. The head length is the largest multiple of [`LANES`].
@@ -96,27 +52,19 @@ fn lane_split<'a>(a: &'a [f64], b: &'a [f64]) -> (&'a [f64], &'a [f64], &'a [f64
     (ah, at, bh, bt)
 }
 
-/// Dot product of two equal-length slices, dispatched on [`active_kernel`].
-#[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    match active_kernel() {
-        Kernel::Scalar => dot_scalar(a, b),
-        Kernel::Lanes => dot_lanes(a, b),
-    }
-}
-
-/// Serial ascending-index dot product — the scalar reference backend.
+/// Serial ascending-index dot product — the reference [`dot`] is pinned
+/// against.
 #[inline]
 pub fn dot_scalar(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Lane dot product: [`LANES`] independent accumulators (breaking the
-/// serial FP dependency chain so the loop vectorizes), scalar tail,
-/// pairwise final reduction.
+/// Dot product of two equal-length slices: [`LANES`] independent
+/// accumulators (breaking the serial FP dependency chain so the loop
+/// vectorizes), scalar tail, pairwise final reduction.
 #[inline]
-pub fn dot_lanes(a: &[f64], b: &[f64]) -> f64 {
+pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     let (ah, at, bh, bt) = lane_split(a, b);
     let mut acc = [0.0f64; LANES];
@@ -130,27 +78,19 @@ pub fn dot_lanes(a: &[f64], b: &[f64]) -> f64 {
     ((acc[0] + acc[2]) + (acc[1] + acc[3])) + tail
 }
 
-/// Squared Euclidean distance `Σ (a[i]-b[i])²`, dispatched on
-/// [`active_kernel`] — the inner loop of the whitened pairwise-distance
-/// matrix in `powerlens-cluster`.
-#[inline]
-pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
-    match active_kernel() {
-        Kernel::Scalar => squared_distance_scalar(a, b),
-        Kernel::Lanes => squared_distance_lanes(a, b),
-    }
-}
-
-/// Serial ascending-index squared distance — the scalar reference backend.
+/// Serial ascending-index squared distance — the reference
+/// [`squared_distance`] is pinned against.
 #[inline]
 pub fn squared_distance_scalar(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
-/// Lane squared distance: same accumulator structure as [`dot_lanes`].
+/// Squared Euclidean distance `Σ (a[i]-b[i])²`, with the same accumulator
+/// structure as [`dot`] — the inner loop of the whitened pairwise-distance
+/// matrix in `powerlens-cluster`.
 #[inline]
-pub fn squared_distance_lanes(a: &[f64], b: &[f64]) -> f64 {
+pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     let (ah, at, bh, bt) = lane_split(a, b);
     let mut acc = [0.0f64; LANES];
@@ -490,14 +430,6 @@ mod tests {
         for (g, w) in got.iter().zip(&want) {
             assert!((g - w).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn kernel_env_name_round_trips() {
-        assert_eq!(Kernel::Scalar.name(), "scalar");
-        assert_eq!(Kernel::Lanes.name(), "lanes");
-        // Whatever the environment selected, the latch must be stable.
-        assert_eq!(active_kernel(), active_kernel());
     }
 
     #[test]

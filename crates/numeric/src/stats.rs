@@ -129,9 +129,7 @@ pub fn mahalanobis(x: &[f64], y: &[f64], p: &Matrix) -> Result<f64> {
 
 /// Euclidean distance between two equal-length vectors.
 ///
-/// Runs the lane-chunked [`crate::kernels::squared_distance`] kernel, so
-/// the accumulation order follows the active reduction backend
-/// ([`crate::kernels::active_kernel`]).
+/// Runs the lane-chunked [`crate::kernels::squared_distance`] kernel.
 ///
 /// # Panics
 ///

@@ -66,7 +66,7 @@ proptest! {
     #[test]
     fn dot_lanes_matches_scalar(v in lane_vectors()) {
         let (a, b) = v;
-        let fast = kernels::dot_lanes(&a, &b);
+        let fast = kernels::dot(&a, &b);
         let want = kernels::dot_scalar(&a, &b);
         prop_assert!(
             (fast - want).abs() <= reduction_tol(a.len(), 100.0),
@@ -77,7 +77,7 @@ proptest! {
     #[test]
     fn squared_distance_lanes_matches_scalar(v in lane_vectors()) {
         let (a, b) = v;
-        let fast = kernels::squared_distance_lanes(&a, &b);
+        let fast = kernels::squared_distance(&a, &b);
         let want = kernels::squared_distance_scalar(&a, &b);
         prop_assert!(fast >= 0.0);
         prop_assert!(
@@ -178,13 +178,13 @@ fn every_remainder_width_is_exercised() {
         let len = 2 * kernels::LANES + rem;
         let a: Vec<f64> = (0..len).map(|i| 0.37 * i as f64 - 1.0).collect();
         let b: Vec<f64> = (0..len).map(|i| -0.11 * i as f64 + 2.0).collect();
-        let d_fast = kernels::dot_lanes(&a, &b);
+        let d_fast = kernels::dot(&a, &b);
         let d_want = kernels::dot_scalar(&a, &b);
         assert!(
             (d_fast - d_want).abs() <= reduction_tol(len, 10.0),
             "dot remainder {rem}: {d_fast} vs {d_want}"
         );
-        let s_fast = kernels::squared_distance_lanes(&a, &b);
+        let s_fast = kernels::squared_distance(&a, &b);
         let s_want = kernels::squared_distance_scalar(&a, &b);
         assert!(
             (s_fast - s_want).abs() <= reduction_tol(len, 20.0),

@@ -14,7 +14,7 @@ use powerlens::{
 use powerlens_cluster::{cluster_graph, ClusterParams, PowerBlock, PowerView};
 use powerlens_dnn::{zoo, Graph};
 use powerlens_faults::FaultPlan;
-use powerlens_governors::{oracle, Bim, FpgCg, FpgG, HybridConfig, HybridGovernor, HybridStats};
+use powerlens_governors::{oracle, Bim, FpgCg, FpgG, HybridGovernor, HybridStats};
 use powerlens_lint::LintReport;
 use powerlens_platform::{InstrumentationPlan, InstrumentationPoint, Platform};
 use powerlens_sim::{run_taskflow, Controller, Degraded, Engine, TaskSpec};
@@ -97,7 +97,7 @@ pub fn compare_controllers(
 
 /// [`compare_controllers`] plus an opt-in [`HybridGovernor`] row.
 ///
-/// With `hybrid`, a hybrid row (default [`HybridConfig`], no re-plan hook)
+/// With `hybrid`, a hybrid row (no re-plan hook)
 /// joins the line-up after the PowerLens row, and the returned
 /// [`HybridStats`] describe what its ladder did — `None` when `hybrid` is
 /// false. Row order stays PowerLens, then hybrid (when requested), then the
@@ -122,8 +122,7 @@ pub fn compare_controllers_hybrid(
         .collect();
 
     let mut plan_ctl = PlanController::new(plan.clone());
-    let mut hybrid_ctl =
-        HybridGovernor::new(platform, plan.clone(), batch, HybridConfig::default());
+    let mut hybrid_ctl = HybridGovernor::new(platform, plan.clone(), batch);
     let mut degraded = Degraded::new(PlanController::new(plan.clone()), Bim::new(platform));
     let mut bim = Bim::new(platform);
     let mut fpg_g = FpgG::new(platform);

@@ -19,6 +19,16 @@ fn opt<T: Deserialize>(v: &Value, name: &str) -> Result<Option<T>, DeError> {
     }
 }
 
+/// Reads the optional `batch` field shared by every planning request. A
+/// batch of zero has no images to time, so it is refused here, before any
+/// endpoint plans or simulates with it.
+fn batch(v: &Value) -> Result<Option<usize>, DeError> {
+    match opt(v, "batch")? {
+        Some(0) => Err(DeError::new("field `batch`: must be positive")),
+        b => Ok(b),
+    }
+}
+
 /// `POST /plan` — plan one model (`model`), a batch (`models`), or an
 /// inline external manifest (`manifest`).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -38,7 +48,7 @@ pub struct PlanRequest {
     pub manifest: Option<Value>,
     /// Platform name (`agx`, `tx2`, `cloud`); daemon default when absent.
     pub platform: Option<String>,
-    /// Inference batch size; daemon default when absent.
+    /// Inference batch size, at least 1; daemon default when absent.
     pub batch: Option<usize>,
     /// Tenant namespace for cache isolation; shared namespace when absent.
     pub tenant: Option<String>,
@@ -51,7 +61,7 @@ impl Deserialize for PlanRequest {
             models: opt(v, "models")?,
             manifest: opt(v, "manifest")?,
             platform: opt(v, "platform")?,
-            batch: opt(v, "batch")?,
+            batch: batch(v)?,
             tenant: opt(v, "tenant")?,
         })
     }
@@ -65,7 +75,7 @@ pub struct CompareRequest {
     pub model: Option<String>,
     /// Platform name; daemon default when absent.
     pub platform: Option<String>,
-    /// Inference batch size; daemon default when absent.
+    /// Inference batch size, at least 1; daemon default when absent.
     pub batch: Option<usize>,
     /// Images per task; daemon default when absent.
     pub images: Option<usize>,
@@ -83,7 +93,7 @@ impl Deserialize for CompareRequest {
         Ok(CompareRequest {
             model: opt(v, "model")?,
             platform: opt(v, "platform")?,
-            batch: opt(v, "batch")?,
+            batch: batch(v)?,
             images: opt(v, "images")?,
             tasks: opt(v, "tasks")?,
             tenant: opt(v, "tenant")?,
@@ -99,7 +109,7 @@ pub struct LintRequest {
     pub model: Option<String>,
     /// Platform name; daemon default when absent.
     pub platform: Option<String>,
-    /// Inference batch size; daemon default when absent.
+    /// Inference batch size, at least 1; daemon default when absent.
     pub batch: Option<usize>,
 }
 
@@ -108,7 +118,7 @@ impl Deserialize for LintRequest {
         Ok(LintRequest {
             model: opt(v, "model")?,
             platform: opt(v, "platform")?,
-            batch: opt(v, "batch")?,
+            batch: batch(v)?,
         })
     }
 }

@@ -340,6 +340,27 @@ fn oversized_bodies_get_413_with_the_limit() {
 }
 
 #[test]
+fn zero_batch_is_a_400_and_every_worker_survives() {
+    // Two workers and three zero-batch requests: if any of them reached
+    // the planner or the simulator, it would take its worker down with it.
+    let (addr, handle) = spawn_daemon(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    for path in ["/plan", "/compare", "/lint"] {
+        let (status, body) =
+            request(&addr, "POST", path, r#"{"model": "alexnet", "batch": 0}"#).unwrap();
+        assert_eq!(status, 400, "{path}: {body}");
+        assert!(body.contains("batch"), "{path}: {body}");
+    }
+    let (status, body) = request(&addr, "GET", "/healthz", "").unwrap();
+    assert_eq!(status, 200, "{body}");
+    let (status, _) = request(&addr, "POST", "/shutdown", "").unwrap();
+    assert_eq!(status, 200);
+    handle.join().unwrap();
+}
+
+#[test]
 fn overload_degrades_or_sheds_instead_of_hanging() {
     // One worker and a 2-deep queue: a burst of 8 slow planning requests
     // (distinct tenants force real cache misses) must overflow admission.

@@ -223,7 +223,6 @@ END {
     # of magnitude to spare. hsteps mirrors bench_hybrid.rs: 256 images /
     # batch 8 = 32 passes over the 19 alexnet layers.
     hplan = "hybrid/engine_plan_alexnet"
-    hoff  = "hybrid/engine_detector_off_alexnet"
     hon   = "hybrid/engine_detector_on_alexnet"
     hsteps = (256 / 8) * 19
     if ((hplan in ns) && (hon in ns) && ns[hplan] > 0) {
@@ -231,8 +230,6 @@ END {
             (ns[hon] - ns[hplan]) / hsteps > out
         printf ", \"engine_step_ns\": %.2f, \"detector_on_vs_plan\": %.3f", \
             ns[hplan] / hsteps, ns[hon] / ns[hplan] > out
-        if (hoff in ns)
-            printf ", \"detector_off_vs_plan\": %.3f", ns[hoff] / ns[hplan] > out
         printf "}\n" > out
         printf "hybrid detector: %.1f ns/step on a %.1f ns simulated engine step (budget 10 ns)\n", \
             (ns[hon] - ns[hplan]) / hsteps, ns[hplan] / hsteps

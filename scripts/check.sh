@@ -25,7 +25,7 @@ if [ "$fast" -eq 0 ]; then
 fi
 # Lane-kernel gate: every SIMD-shaped reduction kernel must stay inside its
 # pinned tolerance of (or bit-identical to) the scalar reference, across
-# every remainder width. Runs even with --fast — kernel dispatch is the
+# every remainder width. Runs even with --fast — the lane kernels are the
 # numerical foundation everything above sits on.
 run cargo test -q -p powerlens-numeric --test kernel_tolerance
 # Static-analysis gate: every zoo model must lint clean (error severity
@@ -110,7 +110,15 @@ case "$manifest_plan" in
     *'"points"'*) ;;
     *) serve_fail "inline-manifest plan response missing points: $manifest_plan" ;;
 esac
-metrics=$(curl -sf "http://$addr/metrics") || serve_fail "GET /metrics failed"
+# A zero batch is refused with a 400 before it reaches the planner. Two of
+# them against the two workers would leave none if either one panicked,
+# so /metrics below (with a timeout) shows the daemon still serves.
+for _ in 1 2; do
+    code=$(curl -s -m 10 -o /dev/null -w '%{http_code}' -X POST "http://$addr/plan" \
+        -d '{"model": "alexnet", "batch": 0}' || true)
+    [ "$code" = 400 ] || serve_fail "POST /plan with batch 0 gave $code, want 400"
+done
+metrics=$(curl -sf -m 10 "http://$addr/metrics") || serve_fail "GET /metrics failed"
 case "$metrics" in
     *'serve.requests'*) ;;
     *) serve_fail "metrics missing serve.requests: $metrics" ;;
@@ -119,7 +127,7 @@ curl -sf -X POST "http://$addr/shutdown" > /dev/null \
     || serve_fail "POST /shutdown failed"
 wait "$serve_pid" || serve_fail "daemon exited non-zero"
 rm -f "$serve_log"
-echo "serve smoke: plan + inline manifest + metrics + shutdown ok on $addr"
+echo "serve smoke: plan + inline manifest + zero-batch 400 + metrics + shutdown ok on $addr"
 run cargo bench --no-run
 RUSTDOCFLAGS="-D warnings"
 export RUSTDOCFLAGS
